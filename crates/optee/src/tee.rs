@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -172,7 +172,7 @@ impl TeeCore {
             tracer: Mutex::new(Tracer::disabled()),
         });
         let handler: Arc<dyn SmcHandler> = Arc::new(TeeSmcHandler {
-            core: Arc::clone(&core),
+            core: Arc::downgrade(&core),
         });
         core.platform
             .monitor()
@@ -560,11 +560,16 @@ impl TeeCore {
         let _guard = self.call_lock.lock();
         *self.mailbox.lock() = Some(message);
         let monitor = self.platform.monitor().clone();
-        monitor
+        let result = monitor
             .smc(SmcCall::new(smc_func::STD_CALL_WITH_ARG))
             .map_err(|e| TeeError::Communication {
                 reason: format!("smc failed: {e}"),
             })?;
+        if result.regs[0] != smc_return::OK {
+            return Err(TeeError::Communication {
+                reason: format!("smc returned {:#x}", result.regs[0]),
+            });
+        }
         self.replybox.lock().take().ok_or(TeeError::Communication {
             reason: "tee core produced no reply".to_owned(),
         })
@@ -605,14 +610,32 @@ impl TeeCore {
     }
 }
 
+/// Status codes the core's SMC handler returns in the first result
+/// register, after OP-TEE's `OPTEE_SMC_RETURN_*` values.
+pub(crate) mod smc_return {
+    /// The call was processed; the reply is in the mailbox.
+    pub const OK: u64 = 0x0;
+    /// No TEE core serves the call: the core that registered the handler
+    /// has been dropped.
+    pub const ENOTAVAIL: u64 = 0x7;
+}
+
+/// The monitor's handler for the core's standard call. It holds the core
+/// weakly: the core owns the platform whose monitor owns this handler, so
+/// a strong reference would keep every booted core alive forever.
 struct TeeSmcHandler {
-    core: Arc<TeeCore>,
+    core: Weak<TeeCore>,
 }
 
 impl SmcHandler for TeeSmcHandler {
     fn handle(&self, _call: &SmcCall) -> SmcResult {
-        self.core.process_mailbox();
-        SmcResult::value(0)
+        match self.core.upgrade() {
+            Some(core) => {
+                core.process_mailbox();
+                SmcResult::value(smc_return::OK)
+            }
+            None => SmcResult::value(smc_return::ENOTAVAIL),
+        }
     }
 }
 
@@ -869,5 +892,31 @@ mod tests {
         core.register_pta(Box::new(CounterPta::new())).unwrap();
         let names: Vec<String> = core.descriptors().iter().map(|d| d.name.clone()).collect();
         assert_eq!(names, vec!["perisec.counter-pta", "perisec.echo-ta"]);
+    }
+
+    #[test]
+    fn dropping_every_handle_frees_the_core() {
+        let platform = Platform::jetson_agx_xavier();
+        let core = TeeCore::boot(platform.clone(), Arc::new(Supplicant::new()));
+        let uuid = core.register_ta(Box::new(EchoTa::new())).unwrap();
+        let client = crate::client::TeeClient::connect(Arc::clone(&core));
+        let (session, _) = client.open_session(uuid, TeeParams::new()).unwrap();
+        client.invoke(&session, 1, TeeParams::new()).unwrap();
+
+        let weak = Arc::downgrade(&core);
+        drop(client);
+        drop(core);
+        assert!(
+            weak.upgrade().is_none(),
+            "the monitor's SMC handler kept the core alive"
+        );
+
+        // The handler outlives its core in the monitor; a call that reaches
+        // it now fails with a defined status instead of succeeding.
+        let result = platform
+            .monitor()
+            .smc(SmcCall::new(smc_func::STD_CALL_WITH_ARG))
+            .unwrap();
+        assert_eq!(result.regs[0], smc_return::ENOTAVAIL);
     }
 }

@@ -7,6 +7,9 @@
 //! PCM stream — giving the repository an end-to-end audio → transcript →
 //! classification path without real recordings.
 
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use perisec_devices::audio::{AudioBuffer, AudioFormat};
@@ -38,16 +41,41 @@ impl Default for SynthConfig {
 }
 
 /// The deterministic speech synthesizer.
-#[derive(Debug, Clone)]
+///
+/// A word's PCM depends only on its token id and the [`SynthConfig`], so
+/// each vocabulary word is rendered once, on first use, into a word table
+/// that every clone shares: a fleet whose devices clone one synthesizer
+/// renders each word once, and an utterance is slice copies of cached
+/// words between silences. Tokens outside the vocabulary have no table
+/// cell and render through the per-sample formula on every call.
+#[derive(Clone)]
 pub struct SpeechSynthesizer {
     vocabulary: Vocabulary,
     config: SynthConfig,
+    /// One lazily filled rendering per vocabulary token.
+    words: Arc<[OnceLock<Box<[i16]>>]>,
+}
+
+impl std::fmt::Debug for SpeechSynthesizer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpeechSynthesizer")
+            .field("vocabulary", &self.vocabulary)
+            .field("config", &self.config)
+            .field("rendered_words", &self.rendered_words())
+            .finish()
+    }
 }
 
 impl SpeechSynthesizer {
-    /// Creates a synthesizer over `vocabulary`.
+    /// Creates a synthesizer over `vocabulary`. No word is rendered until
+    /// it is first used.
     pub fn new(vocabulary: Vocabulary, config: SynthConfig) -> Self {
-        SpeechSynthesizer { vocabulary, config }
+        let words = (0..vocabulary.len()).map(|_| OnceLock::new()).collect();
+        SpeechSynthesizer {
+            vocabulary,
+            config,
+            words,
+        }
     }
 
     /// Synthesizer with the default smart-home vocabulary and parameters.
@@ -74,46 +102,44 @@ impl SpeechSynthesizer {
         }
     }
 
-    fn word_samples(&self) -> usize {
-        (self.config.sample_rate_hz as u64 * self.config.word_ms / 1000) as usize
+    /// How many vocabulary words the shared word table holds so far.
+    pub fn rendered_words(&self) -> usize {
+        self.words
+            .iter()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
     fn gap_samples(&self) -> usize {
         (self.config.sample_rate_hz as u64 * self.config.gap_ms / 1000) as usize
     }
 
+    /// A word's PCM: the table's cell for vocabulary tokens (filled on
+    /// first use), a fresh rendering for any other token.
+    fn word(&self, token: usize) -> Cow<'_, [i16]> {
+        match self.words.get(token) {
+            Some(cell) => Cow::Borrowed(
+                cell.get_or_init(|| synthesize_word(&self.config, token).into_boxed_slice()),
+            ),
+            None => Cow::Owned(synthesize_word(&self.config, token)),
+        }
+    }
+
     /// Renders a single word (by token id) to PCM.
     pub fn render_word(&self, token: usize) -> Vec<i16> {
-        let rate = self.config.sample_rate_hz as f64;
-        let n = self.word_samples();
-        // Two formant-like tones derived from the token id; co-prime moduli
-        // keep the (f1, f2) pairs distinct across the vocabulary. The
-        // frequencies are spaced *geometrically*: the STT's mel filterbank
-        // has log-frequency resolution, so linear spacing packs the upper
-        // signatures into one mel channel and neighbouring tokens collide.
-        let f1 = 280.0 * 1.17f64.powi((token % 13) as i32);
-        let f2 = 1_150.0 * 1.14f64.powi((token % 7) as i32);
-        let f3 = 2_600.0 + 90.0 * (token % 5) as f64;
-        (0..n)
-            .map(|i| {
-                let t = i as f64 / rate;
-                let envelope = (std::f64::consts::PI * i as f64 / n as f64).sin();
-                let v = 0.45 * (2.0 * std::f64::consts::PI * f1 * t).sin()
-                    + 0.35 * (2.0 * std::f64::consts::PI * f2 * t).sin()
-                    + 0.10 * (2.0 * std::f64::consts::PI * f3 * t).sin();
-                (v * envelope * self.config.amplitude * i16::MAX as f64) as i16
-            })
-            .collect()
+        self.word(token).into_owned()
     }
 
     /// Renders a token sequence to a full utterance (leading, inter-word
     /// and trailing silences included).
     pub fn render_tokens(&self, tokens: &[usize]) -> AudioBuffer {
-        let mut samples = Vec::new();
-        samples.extend(std::iter::repeat_n(0i16, self.gap_samples()));
+        let gap = self.gap_samples();
+        let mut samples =
+            Vec::with_capacity(gap + tokens.len() * (word_samples(&self.config) + gap));
+        samples.resize(gap, 0i16);
         for &token in tokens {
-            samples.extend(self.render_word(token));
-            samples.extend(std::iter::repeat_n(0i16, self.gap_samples()));
+            samples.extend_from_slice(&self.word(token));
+            samples.resize(samples.len() + gap, 0i16);
         }
         AudioBuffer::new(self.format(), samples)
     }
@@ -139,6 +165,35 @@ impl SpeechSynthesizer {
             .map(|(token, word)| (word.text.clone(), self.render_word(token)))
             .collect()
     }
+}
+
+fn word_samples(config: &SynthConfig) -> usize {
+    (config.sample_rate_hz as u64 * config.word_ms / 1000) as usize
+}
+
+/// The per-sample word formula: fills the word table, and renders tokens
+/// outside the vocabulary.
+fn synthesize_word(config: &SynthConfig, token: usize) -> Vec<i16> {
+    let rate = config.sample_rate_hz as f64;
+    let n = word_samples(config);
+    // Two formant-like tones derived from the token id; co-prime moduli
+    // keep the (f1, f2) pairs distinct across the vocabulary. The
+    // frequencies are spaced *geometrically*: the STT's mel filterbank
+    // has log-frequency resolution, so linear spacing packs the upper
+    // signatures into one mel channel and neighbouring tokens collide.
+    let f1 = 280.0 * 1.17f64.powi((token % 13) as i32);
+    let f2 = 1_150.0 * 1.14f64.powi((token % 7) as i32);
+    let f3 = 2_600.0 + 90.0 * (token % 5) as f64;
+    (0..n)
+        .map(|i| {
+            let t = i as f64 / rate;
+            let envelope = (std::f64::consts::PI * i as f64 / n as f64).sin();
+            let v = 0.45 * (2.0 * std::f64::consts::PI * f1 * t).sin()
+                + 0.35 * (2.0 * std::f64::consts::PI * f2 * t).sin()
+                + 0.10 * (2.0 * std::f64::consts::PI * f3 * t).sin();
+            (v * envelope * config.amplitude * i16::MAX as f64) as i16
+        })
+        .collect()
 }
 
 #[cfg(test)]
