@@ -10,15 +10,14 @@
 //! per-window service time, it picks the largest batch that still meets
 //! the SLO — maximum amortization, bounded latency.
 //!
-//! The batcher drives both the sharded vision pipeline (via
-//! `perisec_sched::ShardedCameraConfig::latency_slo`) and the plain audio
-//! pipeline (via [`crate::pipeline::PipelineConfig::latency_slo`]); it
-//! lives in this crate so both can share one implementation, and the
-//! scheduler crate re-exports it under its historical path.
+//! [`BatchControl`] is the per-crossing policy around it that both the
+//! single-session device and the scheduler crate's sharded pipeline run.
 
-use perisec_telemetry::HealthState;
+use perisec_telemetry::{HealthState, PressureMonitor, SloSpec};
 use perisec_tz::cost::CostModel;
-use perisec_tz::time::SimDuration;
+use perisec_tz::time::{SimDuration, SimInstant};
+
+use crate::stage::FilteredBatch;
 
 /// Picks `batch_windows` per shard from queue depth against a latency
 /// SLO, using the E11 cost curve.
@@ -123,6 +122,88 @@ impl AdaptiveBatcher {
         };
         let fit = (headroom.as_nanos() / service.as_nanos()) as usize;
         fit.clamp(1, ceiling)
+    }
+}
+
+/// The per-crossing batch policy of a secure pipeline: a fixed batch
+/// size, or an [`AdaptiveBatcher`] against a latency SLO, optionally
+/// steered by a [`PressureMonitor`] — the observability→control loop of
+/// the health plane.
+#[derive(Debug, Clone)]
+pub struct BatchControl {
+    fixed: usize,
+    batcher: Option<AdaptiveBatcher>,
+    pressure: Option<PressureMonitor>,
+}
+
+impl BatchControl {
+    /// Batches of `fixed_batch` windows, unless `latency_slo` is set: then
+    /// an adaptive batcher over `cost` picks them, its curve clipped by
+    /// `slo_pressure` (inert without a batcher to steer).
+    pub fn new(
+        cost: &CostModel,
+        fixed_batch: usize,
+        latency_slo: Option<SimDuration>,
+        slo_pressure: Option<SloSpec>,
+    ) -> Self {
+        let batcher = latency_slo.map(|slo| AdaptiveBatcher::new(cost, slo, 64));
+        let pressure = slo_pressure
+            .filter(|_| batcher.is_some())
+            .map(PressureMonitor::for_spec);
+        BatchControl {
+            fixed: fixed_batch.max(1),
+            batcher,
+            pressure,
+        }
+    }
+
+    /// The pressure monitor's current verdict, when one is wired.
+    pub fn pressure_state(&self) -> Option<HealthState> {
+        self.pressure.as_ref().map(PressureMonitor::state)
+    }
+
+    /// The next crossing's batch size, never more than `remaining`.
+    pub fn next_batch(&self, remaining: usize) -> usize {
+        match &self.batcher {
+            Some(batcher) => batcher.pick_batch(remaining),
+            None => self.fixed,
+        }
+        .min(remaining)
+    }
+
+    /// Feeds one finished crossing back: its filter step carried
+    /// `windows` windows from `started` to `now` (each caller's own clock)
+    /// into `filtered`. Returns whether the relay is backlogged, which
+    /// the caller drains after the scenario's last crossing — so a clean
+    /// finish pays no extra TEE crossing.
+    pub fn observe(
+        &mut self,
+        filtered: &FilteredBatch,
+        windows: usize,
+        started: SimInstant,
+        now: SimInstant,
+    ) -> bool {
+        let backlog = filtered.backlog > 0;
+        if let Some(batcher) = &mut self.batcher {
+            if !filtered.per_utterance.is_empty() {
+                let mean = filtered.per_utterance.iter().copied().sum::<SimDuration>()
+                    / filtered.per_utterance.len() as u64;
+                batcher.observe(mean);
+            }
+            // Pressure judges the per-window share of the whole crossing:
+            // TA service, injected degradation, cross-core imbalance.
+            if let Some(pressure) = &mut self.pressure {
+                pressure.observe(now.duration_since(started) / windows.max(1) as u64);
+                batcher.set_pressure(pressure.advance(now));
+            }
+            // Relay backlog overrides any SLO verdict: the TA's bounded
+            // unacked buffer is backing up, so fall to single-window
+            // probes until the network drains it.
+            if backlog {
+                batcher.set_pressure(HealthState::Critical);
+            }
+        }
+        backlog
     }
 }
 

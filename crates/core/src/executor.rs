@@ -22,7 +22,7 @@
 //! **Determinism contract.** Every device builds its own hermetic stack
 //! (platform, virtual clock, TEE core, cloud) and no report field depends
 //! on host time, so a given fleet seed reproduces a byte-identical
-//! [`FleetReport`] for *any* worker count and *any* steal interleaving —
+//! [`FleetReport`](crate::fleet::FleetReport) for *any* worker count and *any* steal interleaving —
 //! the executor analogue of the PR-3 scheduler-determinism contract,
 //! pinned by `tests/executor_determinism.rs`. Steal decisions and peak
 //! residency are host-side telemetry and live in [`ExecutorStats`], which
@@ -157,7 +157,7 @@ pub struct StealRecord {
 
 /// Host-side telemetry of one executor run. Timing-dependent (steal
 /// interleavings vary run to run), which is exactly why it is kept out of
-/// the deterministic [`FleetReport`].
+/// the deterministic [`FleetReport`](crate::fleet::FleetReport).
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorStats {
     /// Worker threads used.

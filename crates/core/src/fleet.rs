@@ -3,13 +3,13 @@
 //! A [`PipelineFleet`] runs M concurrent device pipelines — each with its
 //! own platform, TEE core, secure driver and cloud connection — while
 //! sharing **one** trained model set ([`crate::pipeline::SharedModels`])
-//! across every device via [`Arc`](std::sync::Arc). Training dominates
+//! across every device via [`Arc`]. Training dominates
 //! pipeline setup cost, so a fleet of N devices sets up roughly N times
 //! faster than N independently-built pipelines, and the secure model
 //! weights exist once in (simulated) memory.
 //!
 //! Devices execute on the bounded work-stealing
-//! [`FleetExecutor`](crate::executor::FleetExecutor):
+//! [`FleetExecutor`]:
 //! [`FleetConfig::workers`] OS threads step resumable device tasks at
 //! TEE-crossing granularity, so a 10k-device fleet holds `workers`
 //! pipeline stacks in memory instead of 10k. The historical
@@ -45,9 +45,10 @@ use crate::executor::{
     StepOutcome,
 };
 use crate::ingest::IngestHook;
+use crate::pipeline::sealed::{DeviceConfig, DeviceScenario};
 use crate::pipeline::{
-    CameraPipelineConfig, PipelineConfig, ScenarioProgress, SecureCameraPipeline, SecurePipeline,
-    SharedModels,
+    Audio, Camera, CameraPipelineConfig, DeviceModality, PipelineConfig, ScenarioProgress,
+    SecureDevice, SharedModels,
 };
 use crate::report::{LatencyPercentiles, PipelineReport};
 use crate::{CoreError, Result};
@@ -145,10 +146,6 @@ impl FleetConfig {
         }
     }
 
-    fn total_devices(&self) -> usize {
-        self.devices + self.camera_devices
-    }
-
     fn reject_sharding(&self) -> Result<()> {
         if self.tee_cores > 1 {
             return Err(CoreError::Config {
@@ -161,6 +158,119 @@ impl FleetConfig {
             });
         }
         Ok(())
+    }
+
+    /// Rejects a fleet with no devices: its empty report would read as a
+    /// perfectly clean privacy outcome when nothing ran.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] when both device counts are zero.
+    pub fn require_devices(&self) -> Result<()> {
+        match self.devices + self.camera_devices {
+            0 => Err(CoreError::Config {
+                reason: "fleet needs at least one device".to_owned(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Trains the fleet's one model set: speech models eagerly when the
+    /// fleet has audio devices, so camera-only fleets never pay for them;
+    /// the frame classifier lazily on first camera use.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ML training failures.
+    pub fn shared_models(&self) -> Result<SharedModels> {
+        let models = match self.devices {
+            0 => SharedModels::deferred_for_config(&self.pipeline),
+            _ => SharedModels::for_config(&self.pipeline)?,
+        };
+        Ok(self.adopt_models(models))
+    }
+
+    /// Applies this config's camera training spec to a model set (taking
+    /// effect unless its vision model has already trained).
+    pub fn adopt_models(&self, models: SharedModels) -> SharedModels {
+        let camera = &self.camera_pipeline;
+        models.with_vision_spec(camera.train_frames, camera.corpus_seed)
+    }
+
+    /// Rejects an empty fleet, and a modality whose devices and scenarios
+    /// disagree — devices with no scenarios *and* scenarios with no
+    /// devices — so nothing is ever silently skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] naming the mismatch.
+    pub fn validate_scenarios(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Result<()> {
+        self.require_devices()?;
+        let reason = match (
+            self.devices,
+            audio.len(),
+            self.camera_devices,
+            cameras.len(),
+        ) {
+            (1.., 0, _, _) => "audio devices configured but no audio scenarios given",
+            (0, 1.., _, _) => "audio scenarios given but no audio devices configured",
+            (_, _, 1.., 0) => "camera devices configured but no camera scenarios given",
+            (_, _, 0, 1..) => "camera scenarios given but no camera devices configured",
+            _ => return Ok(()),
+        };
+        Err(CoreError::Config {
+            reason: reason.to_owned(),
+        })
+    }
+
+    /// The telemetry config device `device` runs under: the fleet's
+    /// metrics switch, with span retention only on the designated
+    /// deep-dive devices. Falls back to the per-pipeline config when the
+    /// fleet plane is off, so direct pipeline telemetry keeps working —
+    /// unless the health plane is on, which needs the tracer's metrics to
+    /// cut epochs from and therefore forces them.
+    fn device_telemetry(&self, base: TelemetryConfig, device: usize) -> TelemetryConfig {
+        if !self.telemetry.enabled {
+            if self.health.is_some() {
+                return TelemetryConfig {
+                    capture_spans: self.trace_devices.contains(&device),
+                    ..TelemetryConfig::metrics()
+                };
+            }
+            return base;
+        }
+        TelemetryConfig {
+            capture_spans: self.trace_devices.contains(&device),
+            ..self.telemetry
+        }
+    }
+
+    /// Queues the fleet's devices of modality `M` through `task`, in
+    /// device order. Each replays the validated scenarios round-robin
+    /// (one shared `Arc` per scenario) under the modality's config with
+    /// the fleet's planes attached: its telemetry switch, the fault spec
+    /// salted with its index, its ingest-plane session.
+    pub fn queue<M: DeviceModality>(
+        &self,
+        scenarios: &[M::Scenario],
+        mut task: impl FnMut(usize, Arc<M::Scenario>, M::Config) -> QueuedDevice,
+    ) -> Vec<QueuedDevice> {
+        let (devices, base) = M::fleet_devices(self);
+        let scenarios: Vec<Arc<M::Scenario>> = scenarios.iter().cloned().map(Arc::new).collect();
+        devices
+            .enumerate()
+            .map(|(i, device)| {
+                let mut config = base.clone();
+                config.attach(
+                    self.device_telemetry(*config.planes().0, device),
+                    self.faults.map(|spec| spec.for_device(device as u64)),
+                    self.ingest
+                        .as_ref()
+                        .map(|plane| IngestHook::new(Arc::clone(plane), device as u64)),
+                );
+                task(device, Arc::clone(&scenarios[i % scenarios.len()]), config)
+            })
+            .collect()
     }
 }
 
@@ -261,6 +371,11 @@ impl FleetReport {
         self.devices.len()
     }
 
+    /// Sums one per-device figure over the fleet.
+    fn sum<T: std::iter::Sum>(&self, figure: impl Fn(&PipelineReport) -> T) -> T {
+        self.devices.iter().map(|d| figure(&d.report)).sum()
+    }
+
     /// Number of devices of the given modality.
     pub fn device_count_of(&self, modality: Modality) -> usize {
         self.devices
@@ -271,27 +386,18 @@ impl FleetReport {
 
     /// Total utterances processed across the fleet.
     pub fn total_utterances(&self) -> usize {
-        self.devices
-            .iter()
-            .map(|d| d.report.workload.utterances)
-            .sum()
+        self.sum(|r| r.workload.utterances)
     }
 
     /// Total ground-truth sensitive utterances across the fleet.
     pub fn total_sensitive_utterances(&self) -> usize {
-        self.devices
-            .iter()
-            .map(|d| d.report.workload.sensitive_utterances)
-            .sum()
+        self.sum(|r| r.workload.sensitive_utterances)
     }
 
     /// Total sensitive utterances that leaked to the cloud, fleet-wide —
     /// the headline privacy metric.
     pub fn leaked_sensitive_utterances(&self) -> usize {
-        self.devices
-            .iter()
-            .map(|d| d.report.cloud.leaked_sensitive_utterances())
-            .sum()
+        self.sum(|r| r.cloud.leaked_sensitive_utterances())
     }
 
     /// Fleet-wide leakage rate.
@@ -306,24 +412,17 @@ impl FleetReport {
     /// Total payload (audio/pixel) bytes that reached the cloud — zero
     /// for verdict-only relays.
     pub fn total_payload_bytes(&self) -> usize {
-        self.devices
-            .iter()
-            .flat_map(|d| d.report.cloud.report.events.iter())
-            .map(|e| e.audio_bytes)
-            .sum()
+        self.sum(|r| r.cloud.report.events.iter().map(|e| e.audio_bytes).sum())
     }
 
     /// Total world switches across every device's TEE.
     pub fn total_world_switches(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.report.tz.world_switches)
-            .sum()
+        self.sum(|r| r.tz.world_switches)
     }
 
     /// Total SMCs across every device's TEE.
     pub fn total_smc_calls(&self) -> u64 {
-        self.devices.iter().map(|d| d.report.tz.smc_calls).sum()
+        self.sum(|r| r.tz.smc_calls)
     }
 
     /// World switches per utterance, averaged over the fleet.
@@ -376,7 +475,7 @@ impl FleetReport {
 
     /// Total energy drawn across the fleet, in millijoules.
     pub fn total_energy_mj(&self) -> f64 {
-        self.devices.iter().map(|d| d.report.energy.total_mj).sum()
+        self.sum(|r| r.energy.total_mj)
     }
 
     /// Serializes the fleet report as pretty JSON, including the
@@ -431,19 +530,13 @@ impl FleetReport {
     /// Total explicit-sequence records the fleet's cloud endpoints saw
     /// again after committing them — at-least-once delivery made visible.
     pub fn total_redelivered_records(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.report.cloud.report.redelivered_records)
-            .sum()
+        self.sum(|r| r.cloud.report.redelivered_records)
     }
 
     /// Total records the fleet's cloud endpoints rejected (failed
     /// authentication or decode — e.g. corrupted in flight).
     pub fn total_rejected_records(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.report.cloud.report.rejected_records)
-            .sum()
+        self.sum(|r| r.cloud.report.rejected_records)
     }
 
     /// [`FleetReport::to_json`] with a `telemetry` section embedded. Kept
@@ -511,18 +604,18 @@ impl FleetReport {
 /// worker-count-invariant.
 pub type TelemetrySink = Arc<Mutex<FleetTelemetry>>;
 
-/// The resumable audio-device state machine: one built [`SecurePipeline`]
-/// plus a scenario cursor; each step is one TEE crossing.
-struct AudioDeviceTask {
+/// The resumable device state machine: one built [`SecureDevice`] plus a
+/// scenario cursor; each step is one TEE crossing.
+struct DeviceRun<M: DeviceModality> {
     device: usize,
-    scenario: Arc<Scenario>,
-    pipeline: SecurePipeline,
+    scenario: Arc<M::Scenario>,
+    pipeline: SecureDevice<M>,
     progress: Option<ScenarioProgress>,
     telemetry: Option<TelemetrySink>,
     health: Option<DeviceHealthMonitor>,
 }
 
-impl DeviceTask for AudioDeviceTask {
+impl<M: DeviceModality> DeviceTask for DeviceRun<M> {
     fn step(&mut self) -> Result<StepOutcome> {
         let mut progress = self.progress.take().expect("task stepped after completion");
         if self.pipeline.step_scenario(&self.scenario, &mut progress)? {
@@ -551,121 +644,32 @@ impl DeviceTask for AudioDeviceTask {
         }
         Ok(StepOutcome::Complete(Box::new(DeviceReport {
             device: self.device,
-            modality: Modality::Audio,
-            scenario: self.scenario.name.clone(),
+            modality: M::MODALITY,
+            scenario: self.scenario.name().to_owned(),
             report,
         })))
     }
 }
 
-/// The resumable camera-device state machine — the vision twin of
-/// [`AudioDeviceTask`].
-struct CameraDeviceTask {
+/// Queues one single-session device of either modality: the pipeline
+/// stack builds lazily when a worker first schedules the device, and the
+/// scenario is shared by `Arc` — a 10k-device fleet cycling over a few
+/// scenarios must not hold 10k copies of their event lists in its run
+/// queues. With observation planes attached, the device's tracer snapshot
+/// is folded into `telemetry` when the scenario completes, and `health`
+/// judges its virtual-time epochs as it runs.
+pub fn device_task<M: DeviceModality>(
     device: usize,
-    scenario: Arc<CameraScenario>,
-    pipeline: SecureCameraPipeline,
-    progress: Option<ScenarioProgress>,
-    telemetry: Option<TelemetrySink>,
-    health: Option<DeviceHealthMonitor>,
-}
-
-impl DeviceTask for CameraDeviceTask {
-    fn step(&mut self) -> Result<StepOutcome> {
-        let mut progress = self.progress.take().expect("task stepped after completion");
-        if self.pipeline.step_scenario(&self.scenario, &mut progress)? {
-            if let Some(monitor) = &mut self.health {
-                monitor.advance(
-                    self.pipeline.platform().clock().now(),
-                    self.pipeline.tracer(),
-                );
-            }
-            self.progress = Some(progress);
-            return Ok(StepOutcome::Yielded);
-        }
-        let report = self.pipeline.finish_scenario(&self.scenario, progress);
-        // Finish before the absorb — see `AudioDeviceTask::step`.
-        if let Some(monitor) = self.health.take() {
-            monitor.finish(
-                self.pipeline.platform().clock().now(),
-                self.pipeline.tracer(),
-            );
-        }
-        if let Some(sink) = &self.telemetry {
-            sink.lock()
-                .absorb(self.device, self.pipeline.take_telemetry());
-        }
-        Ok(StepOutcome::Complete(Box::new(DeviceReport {
-            device: self.device,
-            modality: Modality::Camera,
-            scenario: self.scenario.name.clone(),
-            report,
-        })))
-    }
-}
-
-/// Queues one audio device: the pipeline stack builds lazily when a
-/// worker first schedules the device, and the scenario is shared by
-/// `Arc` — a 10k-device fleet cycling over a few scenarios must not
-/// hold 10k copies of their event lists in its run queues. Shared with
-/// the scheduler crate's `ShardedFleet`, whose audio devices are
-/// identical to this fleet's.
-pub fn audio_device_task(
-    device: usize,
-    scenario: Arc<Scenario>,
-    config: PipelineConfig,
-    models: SharedModels,
-) -> QueuedDevice {
-    audio_device_task_observed(device, scenario, config, models, None, None)
-}
-
-/// [`audio_device_task`] with observation planes attached: the device's
-/// tracer snapshot is folded into `telemetry` when the scenario
-/// completes, and `health` judges its virtual-time epochs as it runs.
-pub fn audio_device_task_observed(
-    device: usize,
-    scenario: Arc<Scenario>,
-    config: PipelineConfig,
+    scenario: Arc<M::Scenario>,
+    config: M::Config,
     models: SharedModels,
     telemetry: Option<TelemetrySink>,
     health: Option<DeviceHealthMonitor>,
 ) -> QueuedDevice {
     QueuedDevice::new(device, move || {
-        let mut pipeline = SecurePipeline::with_models(config, &models)?;
+        let mut pipeline = SecureDevice::<M>::with_models(config, &models)?;
         let progress = pipeline.begin_scenario();
-        Ok(Box::new(AudioDeviceTask {
-            device,
-            scenario,
-            pipeline,
-            progress: Some(progress),
-            telemetry,
-            health,
-        }))
-    })
-}
-
-/// Queues one single-session camera device.
-pub fn camera_device_task(
-    device: usize,
-    scenario: Arc<CameraScenario>,
-    config: CameraPipelineConfig,
-    models: SharedModels,
-) -> QueuedDevice {
-    camera_device_task_observed(device, scenario, config, models, None, None)
-}
-
-/// [`camera_device_task`] with observation planes attached.
-pub fn camera_device_task_observed(
-    device: usize,
-    scenario: Arc<CameraScenario>,
-    config: CameraPipelineConfig,
-    models: SharedModels,
-    telemetry: Option<TelemetrySink>,
-    health: Option<DeviceHealthMonitor>,
-) -> QueuedDevice {
-    QueuedDevice::new(device, move || {
-        let mut pipeline = SecureCameraPipeline::with_models(config, &models)?;
-        let progress = pipeline.begin_scenario();
-        Ok(Box::new(CameraDeviceTask {
+        Ok(Box::new(DeviceRun {
             device,
             scenario,
             pipeline,
@@ -685,6 +689,33 @@ pub struct PipelineFleet {
     models: SharedModels,
 }
 
+/// How a fleet run executes, and which observation planes it folds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Harness {
+    Executor,
+    Telemetry,
+    /// Telemetry plus the live health plane.
+    Health,
+    /// One OS thread per device.
+    Threaded,
+}
+
+/// Everything one fleet run produced; each `run_*` returns its part.
+struct FleetRun {
+    report: FleetReport,
+    stats: ExecutorStats,
+    telemetry: FleetTelemetry,
+    health: FleetHealth,
+}
+
+/// The value behind a run's shared sink: the harness has joined its
+/// workers, so the clone fallback is for safety only.
+fn drain_sink<T: Clone>(sink: Arc<Mutex<T>>) -> T {
+    Arc::try_unwrap(sink)
+        .map(Mutex::into_inner)
+        .unwrap_or_else(|sink| sink.lock().clone())
+}
+
 impl PipelineFleet {
     /// Builds a fleet, training the shared model set **once**.
     ///
@@ -695,24 +726,8 @@ impl PipelineFleet {
         // Fail before the expensive model training: a sharded config can
         // never run on this fleet, so it must not get to pay for setup.
         config.reject_sharding()?;
-        if config.total_devices() == 0 {
-            return Err(CoreError::Config {
-                reason: "fleet needs at least one device".to_owned(),
-            });
-        }
-        // Audio fleets train the speech models eagerly (errors surface at
-        // construction, as before); camera-only fleets defer, so they
-        // never pay for speech models they cannot use — the mirror of the
-        // frame classifier's laziness for audio-only fleets.
-        let models = if config.devices > 0 {
-            SharedModels::for_config(&config.pipeline)?
-        } else {
-            SharedModels::deferred_for_config(&config.pipeline)
-        }
-        .with_vision_spec(
-            config.camera_pipeline.train_frames,
-            config.camera_pipeline.corpus_seed,
-        );
+        config.require_devices()?;
+        let models = config.shared_models()?;
         Ok(PipelineFleet { config, models })
     }
 
@@ -721,10 +736,7 @@ impl PipelineFleet {
     /// vision model has already trained), exactly as
     /// [`PipelineFleet::new`] does.
     pub fn with_models(config: FleetConfig, models: SharedModels) -> Self {
-        let models = models.with_vision_spec(
-            config.camera_pipeline.train_frames,
-            config.camera_pipeline.corpus_seed,
-        );
+        let models = config.adopt_models(models);
         PipelineFleet { config, models }
     }
 
@@ -746,30 +758,11 @@ impl PipelineFleet {
     /// # Errors
     ///
     /// Returns the first device failure ([`CoreError`]), or a
-    /// [`CoreError::Config`] for an empty scenario list.
+    /// [`CoreError::Config`] for an empty scenario list, an empty fleet,
+    /// or a fleet with camera devices (whose scene schedules `run_mixed`
+    /// must supply instead of silently skipping them).
     pub fn run(&self, scenarios: &[Scenario]) -> Result<FleetReport> {
-        // Guard here as well as in `new`: `with_models` skips `new`'s
-        // validation, and an empty fleet report would read as a perfectly
-        // clean privacy outcome when nothing ran at all.
-        self.config.reject_sharding()?;
-        if self.config.devices == 0 {
-            return Err(CoreError::Config {
-                reason: "fleet needs at least one audio device".to_owned(),
-            });
-        }
-        if self.config.camera_devices > 0 {
-            return Err(CoreError::Config {
-                reason: "fleet has camera devices configured; use run_mixed so their \
-                         scene schedules are supplied instead of silently skipping them"
-                    .to_owned(),
-            });
-        }
-        if scenarios.is_empty() {
-            return Err(CoreError::Config {
-                reason: "fleet run needs at least one scenario".to_owned(),
-            });
-        }
-        self.execute(scenarios, &[]).map(|(report, _)| report)
+        self.run_mixed(scenarios, &[])
     }
 
     /// Runs a mixed fleet: the configured audio devices replay `audio`
@@ -785,8 +778,8 @@ impl PipelineFleet {
     /// scenarios *and* scenarios with no devices are both rejected, so
     /// nothing is ever silently skipped — or when the fleet is empty.
     pub fn run_mixed(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Result<FleetReport> {
-        self.run_mixed_stats(audio, cameras)
-            .map(|(report, _)| report)
+        self.execute(audio, cameras, Harness::Executor)
+            .map(|run| run.report)
     }
 
     /// [`PipelineFleet::run_mixed`], also returning the executor's
@@ -800,9 +793,8 @@ impl PipelineFleet {
         audio: &[Scenario],
         cameras: &[CameraScenario],
     ) -> Result<(FleetReport, ExecutorStats)> {
-        self.config.reject_sharding()?;
-        self.validate_mixed(audio, cameras)?;
-        self.execute(audio, cameras)
+        self.execute(audio, cameras, Harness::Executor)
+            .map(|run| (run.report, run.stats))
     }
 
     /// [`PipelineFleet::run_mixed_stats`] with the fleet telemetry plane
@@ -821,18 +813,8 @@ impl PipelineFleet {
         audio: &[Scenario],
         cameras: &[CameraScenario],
     ) -> Result<(FleetReport, ExecutorStats, FleetTelemetry)> {
-        self.config.reject_sharding()?;
-        self.validate_mixed(audio, cameras)?;
-        let sink: TelemetrySink = Arc::new(Mutex::new(FleetTelemetry::new()));
-        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) =
-            executor.run(self.queued_devices(audio, cameras, Some(&sink), None))?;
-        // The executor has joined its workers; nothing else holds the
-        // sink. The clone fallback is for safety only.
-        let telemetry = Arc::try_unwrap(sink)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|sink| sink.lock().clone());
-        Ok((FleetReport::new(reports), stats, telemetry))
+        self.execute(audio, cameras, Harness::Telemetry)
+            .map(|run| (run.report, run.stats, run.telemetry))
     }
 
     /// [`PipelineFleet::run_mixed_telemetry`] with the live health plane
@@ -861,27 +843,8 @@ impl PipelineFleet {
         FleetTelemetry,
         FleetHealthReport,
     )> {
-        self.config.reject_sharding()?;
-        self.validate_mixed(audio, cameras)?;
-        let Some(health_config) = &self.config.health else {
-            return Err(CoreError::Config {
-                reason: "run_mixed_health needs FleetConfig::health set; an unconfigured \
-                         health plane would report every device as healthy"
-                    .to_owned(),
-            });
-        };
-        let sink: TelemetrySink = Arc::new(Mutex::new(FleetTelemetry::new()));
-        let health: HealthSink = Arc::new(Mutex::new(FleetHealth::new(health_config.window)));
-        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) =
-            executor.run(self.queued_devices(audio, cameras, Some(&sink), Some(&health)))?;
-        let telemetry = Arc::try_unwrap(sink)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|sink| sink.lock().clone());
-        let health = Arc::try_unwrap(health)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|health| health.lock().clone());
-        Ok((FleetReport::new(reports), stats, telemetry, health.report()))
+        self.execute(audio, cameras, Harness::Health)
+            .map(|run| (run.report, run.stats, run.telemetry, run.health.report()))
     }
 
     /// The historical harness: one OS thread per device, every device
@@ -897,133 +860,67 @@ impl PipelineFleet {
         audio: &[Scenario],
         cameras: &[CameraScenario],
     ) -> Result<FleetReport> {
-        self.config.reject_sharding()?;
-        self.validate_mixed(audio, cameras)?;
-        run_thread_per_device(self.queued_devices(audio, cameras, None, None)).map(FleetReport::new)
+        self.execute(audio, cameras, Harness::Threaded)
+            .map(|run| run.report)
     }
 
-    fn validate_mixed(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Result<()> {
-        if self.config.total_devices() == 0 {
-            return Err(CoreError::Config {
-                reason: "fleet needs at least one device".to_owned(),
-            });
-        }
-        if self.config.devices > 0 && audio.is_empty() {
-            return Err(CoreError::Config {
-                reason: "audio devices configured but no audio scenarios given".to_owned(),
-            });
-        }
-        if self.config.devices == 0 && !audio.is_empty() {
-            return Err(CoreError::Config {
-                reason: "audio scenarios given but no audio devices configured".to_owned(),
-            });
-        }
-        if self.config.camera_devices > 0 && cameras.is_empty() {
-            return Err(CoreError::Config {
-                reason: "camera devices configured but no camera scenarios given".to_owned(),
-            });
-        }
-        if self.config.camera_devices == 0 && !cameras.is_empty() {
-            return Err(CoreError::Config {
-                reason: "camera scenarios given but no camera devices configured".to_owned(),
-            });
-        }
-        Ok(())
-    }
-
-    /// The fleet-level telemetry config a given device runs under: the
-    /// fleet's metrics switch, with span retention only on the designated
-    /// deep-dive devices. Falls back to the per-pipeline config when the
-    /// fleet plane is off, so direct pipeline telemetry keeps working —
-    /// unless the health plane is on, which needs the tracer's metrics to
-    /// cut epochs from and therefore forces them.
-    fn device_telemetry(&self, base: TelemetryConfig, device: usize) -> TelemetryConfig {
-        if !self.config.telemetry.enabled {
-            if self.config.health.is_some() {
-                return TelemetryConfig {
-                    capture_spans: self.config.trace_devices.contains(&device),
-                    ..TelemetryConfig::metrics()
-                };
-            }
-            return base;
-        }
-        TelemetryConfig {
-            capture_spans: self.config.trace_devices.contains(&device),
-            ..self.config.telemetry
-        }
-    }
-
-    /// Queues the fleet's devices. Callers have already validated that a
-    /// modality's scenario slice is non-empty exactly when it has devices.
-    fn queued_devices(
+    /// Queues the fleet's devices of modality `M` with the run's
+    /// observation sinks attached.
+    fn queue<M: DeviceModality>(
         &self,
-        audio: &[Scenario],
-        cameras: &[CameraScenario],
-        sink: Option<&TelemetrySink>,
+        scenarios: &[M::Scenario],
+        telemetry: Option<&TelemetrySink>,
         health: Option<&HealthSink>,
     ) -> Vec<QueuedDevice> {
-        let audio_devices = self.config.devices;
-        let camera_devices = self.config.camera_devices;
-        let monitor = |device: usize| match (health, &self.config.health) {
-            (Some(sink), Some(config)) => Some(DeviceHealthMonitor::new(
-                device,
-                config.clone(),
-                Arc::clone(sink),
-            )),
-            _ => None,
-        };
-        // One shared copy per distinct scenario; devices hold `Arc`s.
-        let audio: Vec<Arc<Scenario>> = audio.iter().cloned().map(Arc::new).collect();
-        let cameras: Vec<Arc<CameraScenario>> = cameras.iter().cloned().map(Arc::new).collect();
-        let mut tasks = Vec::with_capacity(audio_devices + camera_devices);
-        for device in 0..audio_devices {
-            let mut config = self.config.pipeline.clone();
-            config.telemetry = self.device_telemetry(config.telemetry, device);
-            if let Some(spec) = self.config.faults {
-                config.faults = Some(spec.for_device(device as u64));
-            }
-            if let Some(plane) = &self.config.ingest {
-                config.ingest = Some(IngestHook::new(Arc::clone(plane), device as u64));
-            }
-            tasks.push(audio_device_task_observed(
-                device,
-                Arc::clone(&audio[device % audio.len()]),
-                config,
-                self.models.clone(),
-                sink.cloned(),
-                monitor(device),
-            ));
-        }
-        for camera in 0..camera_devices {
-            let device = audio_devices + camera;
-            let mut config = self.config.camera_pipeline.clone();
-            config.telemetry = self.device_telemetry(config.telemetry, device);
-            if let Some(spec) = self.config.faults {
-                config.faults = Some(spec.for_device(device as u64));
-            }
-            if let Some(plane) = &self.config.ingest {
-                config.ingest = Some(IngestHook::new(Arc::clone(plane), device as u64));
-            }
-            tasks.push(camera_device_task_observed(
-                device,
-                Arc::clone(&cameras[camera % cameras.len()]),
-                config,
-                self.models.clone(),
-                sink.cloned(),
-                monitor(device),
-            ));
-        }
-        tasks
+        self.config
+            .queue::<M>(scenarios, |device, scenario, config| {
+                let monitor = health.zip(self.config.health.as_ref()).map(|(sink, spec)| {
+                    DeviceHealthMonitor::new(device, spec.clone(), Arc::clone(sink))
+                });
+                let (models, telemetry) = (self.models.clone(), telemetry.cloned());
+                device_task::<M>(device, scenario, config, models, telemetry, monitor)
+            })
     }
 
+    /// The one run path behind every `run_*` entry point.
     fn execute(
         &self,
         audio: &[Scenario],
         cameras: &[CameraScenario],
-    ) -> Result<(FleetReport, ExecutorStats)> {
-        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) = executor.run(self.queued_devices(audio, cameras, None, None))?;
-        Ok((FleetReport::new(reports), stats))
+        harness: Harness,
+    ) -> Result<FleetRun> {
+        self.config.reject_sharding()?;
+        self.config.validate_scenarios(audio, cameras)?;
+        let health: Option<HealthSink> = match (harness, &self.config.health) {
+            (Harness::Health, None) => {
+                return Err(CoreError::Config {
+                    reason: "run_mixed_health needs FleetConfig::health set; an unconfigured \
+                             health plane would report every device as healthy"
+                        .to_owned(),
+                })
+            }
+            (Harness::Health, Some(config)) => {
+                Some(Arc::new(Mutex::new(FleetHealth::new(config.window))))
+            }
+            _ => None,
+        };
+        let telemetry: Option<TelemetrySink> =
+            matches!(harness, Harness::Telemetry | Harness::Health)
+                .then(|| Arc::new(Mutex::new(FleetTelemetry::new())));
+        let mut tasks = self.queue::<Audio>(audio, telemetry.as_ref(), health.as_ref());
+        tasks.extend(self.queue::<Camera>(cameras, telemetry.as_ref(), health.as_ref()));
+        let (reports, stats) = match harness {
+            Harness::Threaded => (run_thread_per_device(tasks)?, ExecutorStats::default()),
+            _ => {
+                FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers)).run(tasks)?
+            }
+        };
+        Ok(FleetRun {
+            report: FleetReport::new(reports),
+            stats,
+            telemetry: telemetry.map(drain_sink).unwrap_or_default(),
+            health: health.map(drain_sink).unwrap_or_default(),
+        })
     }
 }
 

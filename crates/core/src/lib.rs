@@ -14,10 +14,12 @@
 //!   TLS-like channel through the TEE supplicant;
 //! * [`stage`] — the staged architecture: capture → filter → relay behind
 //!   the [`stage::PipelineStage`] trait, with batch-aware TEE crossings;
-//! * [`pipeline`] — [`pipeline::SecurePipeline`] (the proposed design) and
+//! * [`pipeline`] — [`pipeline::SecureDevice`] (the proposed design: one
+//!   pipeline generic over a [`pipeline::DeviceModality`], with
+//!   [`pipeline::SecurePipeline`] and [`pipeline::SecureCameraPipeline`]
+//!   as its microphone and camera instantiations) and
 //!   [`pipeline::BaselinePipeline`] (driver in the untrusted kernel, no
-//!   filtering), both runnable against `perisec-workload` scenarios and
-//!   both assembled from the stages;
+//!   filtering), all assembled from the stages;
 //! * [`vision_ta`] — [`vision_ta::VisionTa`], the camera modality's filter
 //!   TA: pulls frames from the camera PTA, classifies them with the in-TA
 //!   frame CNN, and relays only sealed verdict records — never pixels;
@@ -25,10 +27,15 @@
 //!   [`executor::FleetExecutor`] steps resumable device tasks on a fixed
 //!   worker pool, so fleet scale is a function of work, not thread count;
 //! * [`batcher`] — [`batcher::AdaptiveBatcher`]: picks each TEE
-//!   crossing's batch size from queue depth against a latency SLO;
+//!   crossing's batch size from queue depth against a latency SLO, inside
+//!   [`batcher::BatchControl`], the per-crossing policy every secure
+//!   pipeline (sharded ones included) runs;
 //! * [`fleet`] — [`fleet::PipelineFleet`]: M concurrent device pipelines
 //!   (audio, camera, or a mix) sharing one trained model set, multiplexed
-//!   onto the executor, with merged fleet reports;
+//!   onto the executor, with merged fleet reports. Its queueing loop
+//!   ([`fleet::FleetConfig::queue`]) and device task
+//!   ([`fleet::device_task`]) are also the scheduler crate's
+//!   `ShardedFleet` run path;
 //! * [`ingest`] — [`ingest::IngestHook`]: one device's handle onto a
 //!   fleet-shared sharded attested ingest plane (`perisec-ingest`),
 //!   routing the TA's relay records to an epoch-fenced shard under the
@@ -62,8 +69,8 @@ pub use filter_ta::{FilterStats, FilterTa, FILTER_TA_NAME};
 pub use fleet::{DeviceReport, FleetConfig, FleetReport, Modality, PipelineFleet};
 pub use ingest::IngestHook;
 pub use pipeline::{
-    BaselinePipeline, CameraPipelineConfig, PipelineConfig, SecureCameraPipeline, SecurePipeline,
-    SharedModels,
+    BaselinePipeline, CameraPipelineConfig, DeviceModality, PipelineConfig, SecureCameraPipeline,
+    SecureDevice, SecurePipeline, SharedModels,
 };
 pub use policy::{FilterDecision, FilterMode, PrivacyPolicy};
 pub use report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary};

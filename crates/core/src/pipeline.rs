@@ -9,7 +9,14 @@
 //! world-switch round trip, one batched relay record), which is the
 //! transition-amortization lever the related work identifies as the key to
 //! production throughput on TrustZone-class hardware.
+//!
+//! The secure design is one generic [`SecureDevice`] per sensor
+//! modality: a [`DeviceModality`] supplies only the driver PTA, the
+//! filter TA and the scenario/capture types, so the microphone
+//! ([`SecurePipeline`]) and camera ([`SecureCameraPipeline`]) devices
+//! share every line of build wiring, stepping and reporting.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -33,16 +40,16 @@ use perisec_secure_driver::camera::SecureCameraDriver;
 use perisec_secure_driver::camera_pta::CameraPta;
 use perisec_secure_driver::driver::SecureI2sDriver;
 use perisec_secure_driver::pta::I2sPta;
-use perisec_telemetry::{DeviceTelemetry, PressureMonitor, SloSpec, TelemetryConfig, Tracer};
+use perisec_telemetry::{DeviceTelemetry, SloSpec, TelemetryConfig, Tracer};
 use perisec_tz::platform::Platform;
 use perisec_tz::stats::TzStatsSnapshot;
-use perisec_tz::time::{SimClock, SimDuration, SimInstant};
+use perisec_tz::time::{SimDuration, SimInstant};
 use perisec_workload::corpus::CorpusGenerator;
-use perisec_workload::scenario::{CameraScenario, Scenario};
+use perisec_workload::scenario::{CameraScenario, CameraScenarioEvent, Scenario, ScenarioEvent};
 use perisec_workload::synth::SpeechSynthesizer;
 use perisec_workload::vocab::Vocabulary;
 
-use crate::batcher::AdaptiveBatcher;
+use crate::batcher::BatchControl;
 use crate::cloud_channel::RelayRetryConfig;
 use crate::filter_ta::{cmd as filter_cmd, default_cloud_host, default_psk, FilterTa};
 use crate::ingest::{CloudLedger, IngestHook};
@@ -95,19 +102,21 @@ pub struct PipelineConfig {
     /// paper's per-utterance behaviour; larger batches amortize the TEE
     /// boundary: world switches per utterance drop by roughly this factor.
     pub batch_windows: usize,
-    /// When set, an [`AdaptiveBatcher`] picks each TEE crossing's batch
-    /// size from the remaining queue depth against this per-utterance
-    /// latency SLO instead of the fixed `batch_windows` — the audio
-    /// counterpart of the sharded vision pipeline's SLO knob.
+    /// When set, an [`AdaptiveBatcher`](crate::batcher::AdaptiveBatcher)
+    /// picks each TEE crossing's batch size from the remaining queue
+    /// depth against this per-utterance latency SLO instead of the fixed
+    /// `batch_windows` — the audio counterpart of the sharded vision
+    /// pipeline's SLO knob.
     pub latency_slo: Option<SimDuration>,
     /// When set (and `latency_slo` is driving an adaptive batcher), a
-    /// tracer-free [`PressureMonitor`] judges the per-window share of
-    /// each filter crossing against this objective over fixed virtual
-    /// windows (`budget ×`
-    /// [`PressureMonitor::BUDGETS_PER_WINDOW`]) and feeds its verdict to
-    /// the batcher: `Degraded` halves the batcher's headroom, `Critical`
-    /// falls back to single-window probes. The observability→control
-    /// loop of the health plane; inert without `latency_slo`.
+    /// tracer-free [`PressureMonitor`](perisec_telemetry::PressureMonitor)
+    /// judges the per-window share of each filter crossing against this
+    /// objective over fixed virtual windows (`budget ×`
+    /// [`BUDGETS_PER_WINDOW`](perisec_telemetry::PressureMonitor::BUDGETS_PER_WINDOW))
+    /// and feeds its verdict to the batcher: `Degraded` halves the
+    /// batcher's headroom, `Critical` falls back to single-window probes.
+    /// The observability→control loop of the health plane; inert without
+    /// `latency_slo`.
     pub slo_pressure: Option<SloSpec>,
     /// Deterministic mid-run degradation injection (see [`DegradeSpec`]);
     /// `None` (the default) runs the undisturbed pipeline.
@@ -163,30 +172,6 @@ impl Default for PipelineConfig {
     }
 }
 
-fn build_platform(constrained: bool, secure_ram_kib: Option<u64>) -> Platform {
-    let mut builder = Platform::builder();
-    if constrained {
-        builder = builder
-            .spec(perisec_tz::platform::PlatformSpec::constrained_mcu())
-            .cost_model(perisec_tz::cost::CostModel::constrained_mcu())
-            .power_model(perisec_tz::power::PowerModel::constrained_mcu());
-    }
-    if let Some(kib) = secure_ram_kib {
-        builder = builder.secure_ram_kib(kib);
-    }
-    builder.build()
-}
-
-impl PipelineConfig {
-    fn build_platform(&self) -> Platform {
-        build_platform(self.constrained_platform, self.secure_ram_kib)
-    }
-
-    fn effective_batch(&self) -> usize {
-        self.batch_windows.max(1)
-    }
-}
-
 /// Configuration of the secure camera pipeline — the vision modality's
 /// counterpart of [`PipelineConfig`].
 #[derive(Debug, Clone)]
@@ -235,16 +220,6 @@ impl Default for CameraPipelineConfig {
             retry: RelayRetryConfig::default(),
             ingest: None,
         }
-    }
-}
-
-impl CameraPipelineConfig {
-    fn build_platform(&self) -> Platform {
-        build_platform(self.constrained_platform, self.secure_ram_kib)
-    }
-
-    fn effective_batch(&self) -> usize {
-        self.batch_windows.max(1)
     }
 }
 
@@ -503,21 +478,6 @@ impl SharedModels {
     }
 }
 
-/// Trains the in-TA models on the synthetic corpus. Exposed so examples,
-/// benches and fleets can train once and reuse the models across pipeline
-/// instances.
-///
-/// # Errors
-///
-/// Propagates ML training failures.
-pub fn train_models(
-    architecture: Architecture,
-    train_utterances: usize,
-    corpus_seed: u64,
-) -> Result<SharedModels> {
-    SharedModels::train(architecture, train_utterances, corpus_seed)
-}
-
 /// Cursor over one scenario replay: which event the stages have consumed
 /// up to, plus the stats baseline the final report diffs against. This is
 /// the resumable seam the fleet executor's `DeviceTask` state machine is
@@ -527,7 +487,6 @@ pub fn train_models(
 pub struct ScenarioProgress {
     stats_before: TzStatsSnapshot,
     next_event: usize,
-    relay_backlog: bool,
 }
 
 impl ScenarioProgress {
@@ -537,211 +496,173 @@ impl ScenarioProgress {
     }
 }
 
-/// Starts a staged scenario run: resets the cloud ledger and snapshots
-/// the TEE counters the final report diffs against.
-fn begin_secure_stages(platform: &Platform, ledger: &CloudLedger) -> ScenarioProgress {
-    ledger.reset();
-    ScenarioProgress {
-        stats_before: platform.stats().snapshot(),
-        next_event: 0,
-        relay_backlog: false,
-    }
-}
+/// The accessors the one [`SecureDevice`] path and the fleets need on
+/// both modalities' config and scenario types, which carry the same
+/// fields under the same names.
+pub(crate) mod sealed {
+    use super::*;
 
-/// Drives **one** batch through a secure capture → filter → relay stage
-/// chain — one TEE crossing — and advances the cursor. Shared by the
-/// audio and camera pipelines so their accounting can never drift apart.
-/// Returns whether events remain after this step.
-#[allow(clippy::too_many_arguments)]
-fn step_secure_stages<E, C>(
-    events: &[E],
-    fixed_batch: usize,
-    batcher: Option<&mut AdaptiveBatcher>,
-    pressure: Option<&mut PressureMonitor>,
-    degrade: Option<DegradeSpec>,
-    clock: &SimClock,
-    progress: &mut ScenarioProgress,
-    capture: &mut C,
-    filter: &mut SecureFilterStage,
-    relay: &mut SecureRelayStage,
-    tracer: &Tracer,
-) -> Result<bool>
-where
-    E: Clone,
-    C: PipelineStage<Input = Vec<E>, Output = crate::stage::PreparedBatch>,
-{
-    if progress.next_event >= events.len() {
-        return Ok(false);
+    pub trait DeviceConfig: Clone + std::fmt::Debug + Send + 'static {
+        fn build_platform(&self) -> Platform;
+        fn effective_batch(&self) -> usize;
+        fn degrade(&self) -> Option<DegradeSpec>;
+        /// The telemetry switchboard, network chaos and ingest session.
+        fn planes(&self) -> (&TelemetryConfig, Option<FaultSpec>, Option<&IngestHook>);
+        fn set_policy(&mut self, policy: PrivacyPolicy);
+        /// Attaches a fleet device's planes: the telemetry config always,
+        /// the fault spec and ingest session when given.
+        fn attach(
+            &mut self,
+            telemetry: TelemetryConfig,
+            faults: Option<FaultSpec>,
+            ingest: Option<IngestHook>,
+        );
     }
-    let depth = events.len() - progress.next_event;
-    let batch = match &batcher {
-        Some(batcher) => batcher.pick_batch(depth),
-        None => fixed_batch.max(1),
+
+    pub trait DeviceScenario: Clone + Send + Sync + 'static {
+        type Event: Clone;
+        fn events(&self) -> &[Self::Event];
+        fn name(&self) -> &str;
+        fn workload(&self) -> (WorkloadSummary, Vec<u64>);
     }
-    .min(depth);
-    let chunk = events[progress.next_event..progress.next_event + batch].to_vec();
-    tracer.count("pipeline.windows", batch as u64);
-    // Each stage runs under a span named after it; the filter stage's span
-    // encloses the whole TEE crossing (smc.call, TA inference, tee.rpc),
-    // so a chrome-trace dump shows the full nesting.
-    let prepared = {
-        let _span = tracer.span(capture.name());
-        capture.process(chunk)?
-    };
-    let filter_start = clock.now();
-    let filtered = {
-        let _span = tracer.span(filter.name());
-        let filtered = filter.process(prepared)?;
-        // Injected degradation lands inside the filter span, so the
-        // slowdown shows exactly where the health plane's SLO watches.
-        if let Some(spec) = degrade {
-            if clock.now().duration_since(SimInstant::EPOCH) >= spec.after {
-                clock.advance(spec.per_window * batch as u64);
+
+    macro_rules! same_fields {
+        ($config:ty, $scenario:ty, $event:ty) => {
+            impl DeviceConfig for $config {
+                fn build_platform(&self) -> Platform {
+                    let mut builder = Platform::builder();
+                    if self.constrained_platform {
+                        builder = builder
+                            .spec(perisec_tz::platform::PlatformSpec::constrained_mcu())
+                            .cost_model(perisec_tz::cost::CostModel::constrained_mcu())
+                            .power_model(perisec_tz::power::PowerModel::constrained_mcu());
+                    }
+                    if let Some(kib) = self.secure_ram_kib {
+                        builder = builder.secure_ram_kib(kib);
+                    }
+                    builder.build()
+                }
+                fn effective_batch(&self) -> usize {
+                    self.batch_windows.max(1)
+                }
+                fn degrade(&self) -> Option<DegradeSpec> {
+                    self.degrade
+                }
+                fn planes(&self) -> (&TelemetryConfig, Option<FaultSpec>, Option<&IngestHook>) {
+                    (&self.telemetry, self.faults, self.ingest.as_ref())
+                }
+                fn set_policy(&mut self, policy: PrivacyPolicy) {
+                    self.policy = policy;
+                }
+                fn attach(
+                    &mut self,
+                    telemetry: TelemetryConfig,
+                    faults: Option<FaultSpec>,
+                    ingest: Option<IngestHook>,
+                ) {
+                    self.telemetry = telemetry;
+                    self.faults = faults.or(self.faults);
+                    self.ingest = ingest.or(self.ingest.take());
+                }
             }
-        }
-        filtered
-    };
-    if let Some(batcher) = batcher {
-        if !filtered.per_utterance.is_empty() {
-            let mean = filtered.per_utterance.iter().copied().sum::<SimDuration>()
-                / filtered.per_utterance.len() as u64;
-            batcher.observe(mean);
-        }
-        // The pressure monitor judges the per-window share of the whole
-        // crossing (TA service *and* any degradation), then its verdict
-        // clips the next pick — the observability→control loop.
-        if let Some(pressure) = pressure {
-            let per_window = clock.now().duration_since(filter_start) / batch as u64;
-            pressure.observe(per_window);
-            batcher.set_pressure(pressure.advance(clock.now()));
-        }
-        // Relay backlog overrides any SLO verdict: the TA's bounded
-        // unacked buffer is backing up, so fall to single-window probes
-        // until the network drains it.
-        if filtered.backlog > 0 {
-            batcher.set_pressure(perisec_telemetry::HealthState::Critical);
-        }
-    }
-    progress.relay_backlog = filtered.backlog > 0;
-    {
-        let _span = tracer.span(relay.name());
-        relay.process(filtered)?;
-    }
-    progress.next_event += batch;
-    Ok(progress.next_event < events.len())
-}
 
-/// Assembles the run report once every batch has been stepped.
-#[allow(clippy::too_many_arguments)]
-fn finish_secure_stages(
-    pipeline_name: &str,
-    platform: &Platform,
-    ledger: &CloudLedger,
-    fabric: &NetworkFabric,
-    relay: &mut SecureRelayStage,
-    progress: ScenarioProgress,
-    workload: WorkloadSummary,
-    sensitive_ids: Vec<u64>,
-) -> PipelineReport {
-    let latency = relay.take_breakdown();
-    let stats_after = platform.stats().snapshot();
-    PipelineReport {
-        pipeline: pipeline_name.to_owned(),
-        workload,
-        latency,
-        cloud: CloudOutcome {
-            report: ledger.report(),
-            sensitive_ids,
-        },
-        tz: stats_after.delta_since(&progress.stats_before),
-        energy: platform.energy_report(),
-        virtual_time: platform.clock().now().duration_since(SimInstant::EPOCH),
-        bytes_to_cloud: fabric.stats().bytes_sent,
-    }
-}
-
-/// The paper's proposed design: secure driver in the TEE, PTA bridge,
-/// in-TA ML filter, relay through the supplicant to the cloud — assembled
-/// as capture → filter → relay stages.
-pub struct SecurePipeline {
-    config: PipelineConfig,
-    platform: Platform,
-    client: TeeClient,
-    filter_session: TeeSessionHandle,
-    cloud: Arc<MockCloudService>,
-    ledger: CloudLedger,
-    fabric: NetworkFabric,
-    core: Arc<TeeCore>,
-    i2s_pta: TaUuid,
-    capture: SecureCaptureStage,
-    filter: SecureFilterStage,
-    relay: SecureRelayStage,
-    batcher: Option<AdaptiveBatcher>,
-    pressure: Option<PressureMonitor>,
-    tracer: Tracer,
-}
-
-impl std::fmt::Debug for SecurePipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SecurePipeline")
-            .field("architecture", &self.config.architecture)
-            .field("policy", &self.config.policy)
-            .field("batch_windows", &self.config.batch_windows)
-            .finish()
-    }
-}
-
-impl SecurePipeline {
-    /// Builds the full secure stack, training a fresh model set.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the models cannot be trained or a TEE component cannot be
-    /// registered (e.g. the secure carve-out is too small for the model).
-    pub fn new(config: PipelineConfig) -> Result<Self> {
-        let models = SharedModels::for_config(&config)?;
-        SecurePipeline::with_models(config, &models)
-    }
-
-    /// Builds the full secure stack around an existing trained model set —
-    /// the fleet path: the models are shared by reference, not retrained.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a TEE component cannot be registered (e.g. the secure
-    /// carve-out is too small for the model).
-    pub fn with_models(config: PipelineConfig, models: &SharedModels) -> Result<Self> {
-        let audio = models.audio()?;
-        let platform = config.build_platform();
-
-        // Normal world: supplicant + network fabric + cloud endpoint. A
-        // config routed through a sharded ingest plane registers the
-        // plane's session endpoint under the cloud hostname instead of a
-        // local mock cloud, so the TA dials the same host either way.
-        let fabric = NetworkFabric::new().with_faults(config.faults);
-        let cloud = MockCloudService::new(default_psk());
-        let ledger = match &config.ingest {
-            Some(hook) => {
-                fabric.register_service(
-                    MockCloudService::HOST,
-                    hook.endpoint(platform.clock().clone()),
-                );
-                CloudLedger::Plane(hook.clone())
-            }
-            None => {
-                fabric.register_service(MockCloudService::HOST, cloud.clone());
-                CloudLedger::Direct(Arc::clone(&cloud))
+            impl DeviceScenario for $scenario {
+                type Event = $event;
+                fn events(&self) -> &[$event] {
+                    &self.events
+                }
+                fn name(&self) -> &str {
+                    &self.name
+                }
+                fn workload(&self) -> (WorkloadSummary, Vec<u64>) {
+                    let summary = WorkloadSummary {
+                        utterances: self.len(),
+                        sensitive_utterances: self.sensitive_count(),
+                    };
+                    (summary, self.sensitive_ids())
+                }
             }
         };
-        let supplicant = Arc::new(Supplicant::new());
-        supplicant.set_net_backend(Arc::new(fabric.clone()));
+    }
 
-        // Secure world: TEE core, secure driver PTA, filter TA.
-        let core = TeeCore::boot(platform.clone(), supplicant);
-        // One tracer over the device's virtual clock, shared by the
-        // pipeline stages (below) and the TEE core / TAs (via set_tracer).
-        let tracer = Tracer::new(platform.clock().clone(), &config.telemetry);
-        core.set_tracer(tracer.clone());
+    same_fields!(PipelineConfig, Scenario, ScenarioEvent);
+    same_fields!(CameraPipelineConfig, CameraScenario, CameraScenarioEvent);
+}
+
+use sealed::{DeviceConfig, DeviceScenario};
+
+/// What differs between the sensor modalities of a [`SecureDevice`]:
+/// the config, scenario and capture types, the driver PTA and filter TA,
+/// and the report's name. Platform, network fabric, TEE boot, client
+/// session, filter/relay stages and batch policy are one shared path.
+pub trait DeviceModality: Sized + 'static {
+    /// The device's pipeline configuration.
+    type Config: DeviceConfig;
+    /// The scenario a device of this modality replays.
+    type Scenario: DeviceScenario;
+    /// The normal-world capture stage feeding the secure driver.
+    type Capture: PipelineStage<
+        Input = Vec<<Self::Scenario as DeviceScenario>::Event>,
+        Output = crate::stage::PreparedBatch,
+    >;
+    /// The fleet report's modality tag.
+    const MODALITY: crate::fleet::Modality;
+    /// The report's pipeline name.
+    const PIPELINE: &'static str;
+    /// The filter TA's name (its UUID derives from it).
+    const TA_NAME: &'static str;
+    /// The filter TA's `SET_POLICY` command.
+    const SET_POLICY: u32;
+
+    /// The model set a self-trained device builds from.
+    fn models(config: &Self::Config) -> Result<SharedModels>;
+
+    /// Registers the driver's PTA and the filter TA on `core`, starts the
+    /// driver, and returns the capture stage feeding it plus the PTA.
+    fn install(
+        core: &Arc<TeeCore>,
+        platform: &Platform,
+        config: &Self::Config,
+        models: &SharedModels,
+    ) -> Result<(Self::Capture, TaUuid)>;
+
+    /// The latency SLO and its pressure objective, if the config has them.
+    fn latency_slo(config: &Self::Config) -> (Option<SimDuration>, Option<SloSpec>);
+
+    /// This modality's fleet devices (an index range) and their config.
+    fn fleet_devices(fleet: &crate::fleet::FleetConfig) -> (Range<usize>, &Self::Config);
+}
+
+/// The microphone modality: secure I2S driver, I2S PTA, in-TA speech
+/// filter ([`FilterTa`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Audio;
+
+/// The camera modality: secure camera driver, camera PTA, in-TA frame
+/// classifier ([`VisionTa`]) relaying verdicts, never pixels.
+#[derive(Debug, Clone, Copy)]
+pub struct Camera;
+
+impl DeviceModality for Audio {
+    type Config = PipelineConfig;
+    type Scenario = Scenario;
+    type Capture = SecureCaptureStage;
+    const MODALITY: crate::fleet::Modality = crate::fleet::Modality::Audio;
+    const PIPELINE: &'static str = "secure";
+    const TA_NAME: &'static str = crate::filter_ta::FILTER_TA_NAME;
+    const SET_POLICY: u32 = filter_cmd::SET_POLICY;
+
+    fn models(config: &PipelineConfig) -> Result<SharedModels> {
+        SharedModels::for_config(config)
+    }
+
+    fn install(
+        core: &Arc<TeeCore>,
+        platform: &Platform,
+        config: &PipelineConfig,
+        models: &SharedModels,
+    ) -> Result<(SecureCaptureStage, TaUuid)> {
+        let audio = models.audio()?;
         let playback = SharedPlayback::new();
         let mic = Microphone::speech_mic("secure-i2s-mic", playback.source())
             .map_err(perisec_kernel::KernelError::from)?;
@@ -770,9 +691,7 @@ impl SecurePipeline {
         if config.ingest.is_some() {
             // Plane-routed relay: the TA attests its own measurement
             // before the shard will accept records.
-            filter = filter.with_ingest(perisec_relay::measurement_of(
-                crate::filter_ta::FILTER_TA_NAME,
-            ));
+            filter = filter.with_ingest(perisec_relay::measurement_of(Self::TA_NAME));
         }
         core.register_ta(Box::new(filter))
             .map_err(CoreError::from)?;
@@ -798,53 +717,263 @@ impl SecurePipeline {
         )
         .map_err(CoreError::from)?;
 
-        // Normal world client session to the filter TA.
-        let client = TeeClient::connect(Arc::clone(&core));
-        let (filter_session, _) = client
-            .open_session(
-                TaUuid::from_name(crate::filter_ta::FILTER_TA_NAME),
-                TeeParams::new(),
-            )
-            .map_err(CoreError::from)?;
-
         let capture = SecureCaptureStage::new(
             platform.clone(),
             playback,
             audio.synth.clone(),
             config.period_frames,
         );
-        let filter_stage = SecureFilterStage::new(platform.clone(), client.clone(), filter_session);
-        let batcher = config
-            .latency_slo
-            .map(|slo| AdaptiveBatcher::new(platform.cost(), slo, 64));
-        // Pressure without a batcher has nothing to act on; build the
-        // monitor only when both knobs are set.
-        let pressure = match (&batcher, config.slo_pressure) {
-            (Some(_), Some(spec)) => Some(PressureMonitor::for_spec(spec)),
-            _ => None,
-        };
+        Ok((capture, i2s_pta))
+    }
 
-        Ok(SecurePipeline {
+    fn latency_slo(config: &PipelineConfig) -> (Option<SimDuration>, Option<SloSpec>) {
+        (config.latency_slo, config.slo_pressure)
+    }
+
+    fn fleet_devices(fleet: &crate::fleet::FleetConfig) -> (Range<usize>, &PipelineConfig) {
+        (0..fleet.devices, &fleet.pipeline)
+    }
+}
+
+impl DeviceModality for Camera {
+    type Config = CameraPipelineConfig;
+    type Scenario = CameraScenario;
+    type Capture = SecureFrameCaptureStage;
+    const MODALITY: crate::fleet::Modality = crate::fleet::Modality::Camera;
+    const PIPELINE: &'static str = "secure-camera";
+    const TA_NAME: &'static str = crate::vision_ta::VISION_TA_NAME;
+    const SET_POLICY: u32 = crate::vision_ta::cmd::SET_POLICY;
+
+    /// A deferred set whose frame classifier trains on this config's
+    /// `train_frames` / `corpus_seed` (no speech models ever train).
+    fn models(config: &CameraPipelineConfig) -> Result<SharedModels> {
+        Ok(
+            SharedModels::deferred(Architecture::Cnn, 16, config.corpus_seed)
+                .with_vision_spec(config.train_frames, config.corpus_seed),
+        )
+    }
+
+    /// The frame classifier trains in the model set on first camera use,
+    /// with the **set's** vision spec ([`SharedModels::with_vision_spec`]);
+    /// int8 mode reuses the set's quantized form.
+    fn install(
+        core: &Arc<TeeCore>,
+        platform: &Platform,
+        config: &CameraPipelineConfig,
+        models: &SharedModels,
+    ) -> Result<(SecureFrameCaptureStage, TaUuid)> {
+        Camera::install_session(core, platform, config, models, false)
+    }
+
+    fn latency_slo(_: &CameraPipelineConfig) -> (Option<SimDuration>, Option<SloSpec>) {
+        (None, None)
+    }
+
+    fn fleet_devices(fleet: &crate::fleet::FleetConfig) -> (Range<usize>, &CameraPipelineConfig) {
+        (
+            fleet.devices..fleet.devices + fleet.camera_devices,
+            &fleet.camera_pipeline,
+        )
+    }
+}
+
+impl Camera {
+    /// [`DeviceModality::install`] for a single-session camera and for
+    /// every shard of a sharded one. With `shared_weights` the vision TA's
+    /// model bytes are charged to the carve-out once per content key, so
+    /// the co-resident sessions of a secure-core pool share one copy.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the frame classifier cannot be trained or a TEE component
+    /// cannot be registered.
+    pub fn install_session(
+        core: &Arc<TeeCore>,
+        platform: &Platform,
+        config: &CameraPipelineConfig,
+        models: &SharedModels,
+        shared_weights: bool,
+    ) -> Result<(SecureFrameCaptureStage, TaUuid)> {
+        let vision = models.vision()?;
+        let vision_int8 = match config.quant_mode {
+            QuantMode::Int8 => Some(models.vision_int8()?),
+            QuantMode::F32 => None,
+        };
+        // The weights' content key: sessions holding the same `Arc` share
+        // one allocation — of the *quantized* bytes in int8 mode.
+        let (model_key, model_bytes) = match &vision_int8 {
+            Some(int8) => (Arc::as_ptr(int8) as u64, int8.memory_bytes()),
+            None => (Arc::as_ptr(&vision) as u64, vision.memory_bytes_f32()),
+        };
+        let scenes = SharedSceneQueue::new();
+        let sensor = CameraSensor::smart_home("secure-camera", 0x5EC2)
+            .map_err(perisec_kernel::KernelError::from)?;
+        let camera_driver = SecureCameraDriver::new(platform.clone(), sensor, scenes.source());
+        let camera_pta = core
+            .register_pta(Box::new(CameraPta::new(camera_driver)))
+            .map_err(CoreError::from)?;
+        let mut vision_ta = VisionTa::new(
+            camera_pta,
+            vision,
+            vision_int8,
+            config.quant_mode,
+            config.policy,
+            default_cloud_host(),
+            default_psk(),
+        )
+        .with_retry(config.retry);
+        if config.ingest.is_some() {
+            vision_ta = vision_ta.with_ingest(perisec_relay::measurement_of(Self::TA_NAME));
+        }
+        if shared_weights {
+            core.register_ta_shared(Box::new(vision_ta), model_key, model_bytes)
+        } else {
+            core.register_ta(Box::new(vision_ta))
+        }
+        .map_err(CoreError::from)?;
+
+        // Configure and start the secure camera driver through its PTA.
+        for command in [
+            perisec_secure_driver::camera_pta::cmd::CONFIGURE,
+            perisec_secure_driver::camera_pta::cmd::START,
+        ] {
+            core.invoke_pta(camera_pta, command, &mut TeeParams::new())
+                .map_err(CoreError::from)?;
+        }
+        Ok((
+            SecureFrameCaptureStage::new(platform.clone(), scenes),
+            camera_pta,
+        ))
+    }
+}
+
+/// The paper's proposed design for one sensor: secure driver in the TEE,
+/// PTA bridge, in-TA ML filter, relay through the supplicant to the cloud
+/// — assembled as capture → filter → relay stages. One build and run path
+/// serves every [`DeviceModality`]; see [`SecurePipeline`] (microphone)
+/// and [`SecureCameraPipeline`] (camera).
+pub struct SecureDevice<M: DeviceModality> {
+    config: M::Config,
+    platform: Platform,
+    client: TeeClient,
+    session: TeeSessionHandle,
+    cloud: Arc<MockCloudService>,
+    ledger: CloudLedger,
+    fabric: NetworkFabric,
+    core: Arc<TeeCore>,
+    pta: TaUuid,
+    capture: M::Capture,
+    filter: SecureFilterStage,
+    relay: SecureRelayStage,
+    batches: BatchControl,
+    tracer: Tracer,
+}
+
+/// The secure microphone pipeline: secure I2S driver, I2S PTA, in-TA
+/// speech filter.
+pub type SecurePipeline = SecureDevice<Audio>;
+
+/// The secure *camera* pipeline: secure camera driver, camera PTA, in-TA
+/// frame classification, verdict-only relay — the vision modality on the
+/// very same capture → filter → relay path as the audio pipeline.
+pub type SecureCameraPipeline = SecureDevice<Camera>;
+
+impl<M: DeviceModality> std::fmt::Debug for SecureDevice<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SecureDevice")
+            .field("pipeline", &M::PIPELINE)
+            .field("config", &self.config)
+            .finish()
+    }
+}
+
+impl<M: DeviceModality> SecureDevice<M> {
+    /// Builds the full secure stack, training a fresh model set.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the models cannot be trained or a TEE component cannot be
+    /// registered (e.g. the secure carve-out is too small for the model).
+    pub fn new(config: M::Config) -> Result<Self> {
+        let models = M::models(&config)?;
+        SecureDevice::with_models(config, &models)
+    }
+
+    /// Builds the full secure stack around an existing model set — the
+    /// fleet path: the models are shared by reference, not retrained.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the models cannot be trained or a TEE component cannot be
+    /// registered (e.g. the secure carve-out is too small for the model).
+    pub fn with_models(config: M::Config, models: &SharedModels) -> Result<Self> {
+        let platform = config.build_platform();
+
+        // Normal world: supplicant + network fabric + cloud endpoint. A
+        // config routed through a sharded ingest plane registers the
+        // plane's session endpoint under the cloud hostname instead of a
+        // local mock cloud, so the TA dials the same host either way.
+        let (telemetry, faults, ingest) = config.planes();
+        let fabric = NetworkFabric::new().with_faults(faults);
+        let cloud = MockCloudService::new(default_psk());
+        let ledger = match ingest {
+            Some(hook) => {
+                fabric.register_service(
+                    MockCloudService::HOST,
+                    hook.endpoint(platform.clock().clone()),
+                );
+                CloudLedger::Plane(hook.clone())
+            }
+            None => {
+                fabric.register_service(MockCloudService::HOST, cloud.clone());
+                CloudLedger::Direct(Arc::clone(&cloud))
+            }
+        };
+        let supplicant = Arc::new(Supplicant::new());
+        supplicant.set_net_backend(Arc::new(fabric.clone()));
+
+        // Secure world: TEE core, secure driver PTA, filter TA.
+        let core = TeeCore::boot(platform.clone(), supplicant);
+        // One tracer over the device's virtual clock, shared by the
+        // pipeline stages (below) and the TEE core / TAs (via set_tracer).
+        let tracer = Tracer::new(platform.clock().clone(), telemetry);
+        core.set_tracer(tracer.clone());
+        let (capture, pta) = M::install(&core, &platform, &config, models)?;
+
+        // Normal world client session to the filter TA.
+        let client = TeeClient::connect(Arc::clone(&core));
+        let (session, _) = client
+            .open_session(TaUuid::from_name(M::TA_NAME), TeeParams::new())
+            .map_err(CoreError::from)?;
+
+        let filter = SecureFilterStage::new(platform.clone(), client.clone(), session);
+        let (latency_slo, slo_pressure) = M::latency_slo(&config);
+        let batches = BatchControl::new(
+            platform.cost(),
+            config.effective_batch(),
+            latency_slo,
+            slo_pressure,
+        );
+        Ok(SecureDevice {
             config,
             platform,
             client,
-            filter_session,
+            session,
             cloud,
             ledger,
             fabric,
             core,
-            i2s_pta,
+            pta,
             capture,
-            filter: filter_stage,
+            filter,
             relay: SecureRelayStage::new(),
-            batcher,
-            pressure,
+            batches,
             tracer,
         })
     }
 
     /// The device's telemetry tracer — disabled (recording nothing)
-    /// unless the config's [`PipelineConfig::telemetry`] enabled it.
+    /// unless the config's telemetry switchboard enabled it.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -874,9 +1003,9 @@ impl SecurePipeline {
         &self.core
     }
 
-    /// The UUID of the secure-driver PTA.
-    pub fn i2s_pta(&self) -> TaUuid {
-        self.i2s_pta
+    /// The UUID of the secure driver's PTA.
+    pub fn pta(&self) -> TaUuid {
+        self.pta
     }
 
     /// The configured batch size.
@@ -887,7 +1016,7 @@ impl SecurePipeline {
     /// The pressure monitor's current verdict, when the config wired one
     /// ([`PipelineConfig::slo_pressure`] alongside `latency_slo`).
     pub fn pressure_state(&self) -> Option<perisec_telemetry::HealthState> {
-        self.pressure.as_ref().map(PressureMonitor::state)
+        self.batches.pressure_state()
     }
 
     /// Installs a new privacy policy in the filter TA.
@@ -896,25 +1025,22 @@ impl SecurePipeline {
     ///
     /// Propagates TEE invocation failures.
     pub fn set_policy(&mut self, policy: PrivacyPolicy) -> Result<()> {
-        let (mode, threshold) = policy.to_values();
-        let params = TeeParams::new().with(
-            0,
-            TeeParam::ValueInput {
-                a: mode,
-                b: threshold,
-            },
-        );
         self.client
-            .invoke(&self.filter_session, filter_cmd::SET_POLICY, params)
+            .invoke(&self.session, M::SET_POLICY, policy.to_params())
             .map_err(CoreError::from)?;
-        self.config.policy = policy;
+        self.config.set_policy(policy);
         Ok(())
     }
 
     /// Starts a resumable scenario replay (see
-    /// [`SecurePipeline::step_scenario`]).
+    /// [`SecureDevice::step_scenario`]): resets the cloud ledger and
+    /// snapshots the TEE counters the final report diffs against.
     pub fn begin_scenario(&mut self) -> ScenarioProgress {
-        begin_secure_stages(&self.platform, &self.ledger)
+        self.ledger.reset();
+        ScenarioProgress {
+            stats_before: self.platform.stats().snapshot(),
+            next_event: 0,
+        }
     }
 
     /// Drives **one** batch — one TEE crossing — of the scenario through
@@ -931,29 +1057,50 @@ impl SecurePipeline {
     /// Propagates TEE and relay failures.
     pub fn step_scenario(
         &mut self,
-        scenario: &Scenario,
+        scenario: &M::Scenario,
         progress: &mut ScenarioProgress,
     ) -> Result<bool> {
-        let more = step_secure_stages(
-            &scenario.events,
-            self.config.effective_batch(),
-            self.batcher.as_mut(),
-            self.pressure.as_mut(),
-            self.config.degrade,
-            self.platform.clock(),
-            progress,
-            &mut self.capture,
-            &mut self.filter,
-            &mut self.relay,
-            &self.tracer,
-        )?;
-        if !more && progress.relay_backlog {
+        let events = scenario.events();
+        if progress.next_event >= events.len() {
+            return Ok(false);
+        }
+        let batch = self.batches.next_batch(events.len() - progress.next_event);
+        let chunk = events[progress.next_event..progress.next_event + batch].to_vec();
+        self.tracer.count("pipeline.windows", batch as u64);
+        // Each stage runs under a span named after it; the filter stage's
+        // span encloses the whole TEE crossing (smc.call, TA inference,
+        // tee.rpc), so a chrome-trace dump shows the full nesting.
+        let prepared = {
+            let _span = self.tracer.span(self.capture.name());
+            self.capture.process(chunk)?
+        };
+        let clock = self.platform.clock();
+        let filter_start = clock.now();
+        let filtered = {
+            let _span = self.tracer.span(self.filter.name());
+            let filtered = self.filter.process(prepared)?;
+            // Injected degradation lands inside the filter span, so the
+            // slowdown shows exactly where the health plane's SLO watches.
+            if let Some(spec) = self.config.degrade() {
+                if clock.now().duration_since(SimInstant::EPOCH) >= spec.after {
+                    clock.advance(spec.per_window * batch as u64);
+                }
+            }
+            filtered
+        };
+        let backlog = self
+            .batches
+            .observe(&filtered, batch, filter_start, clock.now());
+        {
+            let _span = self.tracer.span(self.relay.name());
+            self.relay.process(filtered)?;
+        }
+        progress.next_event += batch;
+        let more = progress.next_event < events.len();
+        if !more && backlog {
             // The scenario ended with unacked records still buffered in
-            // the TA: a blocking drain retires them, so the report never
-            // misses a verdict the network delayed. Skipped on a clean
-            // finish — the healthy path pays no extra TEE crossing.
+            // the TA: a blocking drain retires them.
             self.filter.drain_relay()?;
-            progress.relay_backlog = false;
         }
         Ok(more)
     }
@@ -961,22 +1108,29 @@ impl SecurePipeline {
     /// Assembles the report of a stepped-to-completion scenario replay.
     pub fn finish_scenario(
         &mut self,
-        scenario: &Scenario,
+        scenario: &M::Scenario,
         progress: ScenarioProgress,
     ) -> PipelineReport {
-        finish_secure_stages(
-            "secure",
-            &self.platform,
-            &self.ledger,
-            &self.fabric,
-            &mut self.relay,
-            progress,
-            WorkloadSummary {
-                utterances: scenario.len(),
-                sensitive_utterances: scenario.sensitive_count(),
+        let latency = self.relay.take_breakdown();
+        let stats_after = self.platform.stats().snapshot();
+        let (workload, sensitive_ids) = scenario.workload();
+        PipelineReport {
+            pipeline: M::PIPELINE.to_owned(),
+            workload,
+            latency,
+            cloud: CloudOutcome {
+                report: self.ledger.report(),
+                sensitive_ids,
             },
-            scenario.sensitive_ids(),
-        )
+            tz: stats_after.delta_since(&progress.stats_before),
+            energy: self.platform.energy_report(),
+            virtual_time: self
+                .platform
+                .clock()
+                .now()
+                .duration_since(SimInstant::EPOCH),
+            bytes_to_cloud: self.fabric.stats().bytes_sent,
+        }
     }
 
     /// Replays a scenario end to end — batch by batch through the
@@ -985,335 +1139,7 @@ impl SecurePipeline {
     /// # Errors
     ///
     /// Propagates TEE and relay failures.
-    pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<PipelineReport> {
-        let mut progress = self.begin_scenario();
-        while self.step_scenario(scenario, &mut progress)? {}
-        Ok(self.finish_scenario(scenario, progress))
-    }
-}
-
-/// The secure *camera* pipeline: secure camera driver in the TEE, camera
-/// PTA bridge, in-TA frame classification, verdict-only relay — the
-/// vision modality assembled from the very same
-/// capture → filter → relay stages as the audio pipeline.
-pub struct SecureCameraPipeline {
-    config: CameraPipelineConfig,
-    platform: Platform,
-    client: TeeClient,
-    vision_session: TeeSessionHandle,
-    cloud: Arc<MockCloudService>,
-    ledger: CloudLedger,
-    fabric: NetworkFabric,
-    core: Arc<TeeCore>,
-    camera_pta: TaUuid,
-    capture: SecureFrameCaptureStage,
-    filter: SecureFilterStage,
-    relay: SecureRelayStage,
-    tracer: Tracer,
-}
-
-impl std::fmt::Debug for SecureCameraPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SecureCameraPipeline")
-            .field("policy", &self.config.policy)
-            .field("batch_windows", &self.config.batch_windows)
-            .finish()
-    }
-}
-
-impl SecureCameraPipeline {
-    /// Builds the full secure camera stack, training a fresh model set.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the frame classifier cannot be trained or a TEE component
-    /// cannot be registered.
-    pub fn new(config: CameraPipelineConfig) -> Result<Self> {
-        let vision = Arc::new(train_frame_cnn(config.train_frames, config.corpus_seed)?);
-        SecureCameraPipeline::with_vision_model(config, vision)
-    }
-
-    /// The int8 deployment form a config asks for: quantized once from
-    /// the trained f32 classifier in int8 mode, absent in f32 mode.
-    fn quantize_for(
-        config: &CameraPipelineConfig,
-        vision: &Arc<FrameCnn>,
-    ) -> Option<Arc<QuantFrameCnn>> {
-        match config.quant_mode {
-            QuantMode::Int8 => QuantFrameCnn::from_trained(vision).map(Arc::new),
-            QuantMode::F32 => None,
-        }
-    }
-
-    /// Builds the camera stack around a shared model set — the mixed-fleet
-    /// path: audio and camera devices hand out `Arc`s of one
-    /// [`SharedModels`]. The frame classifier trains lazily inside the
-    /// model set on first camera use, with the **model set's** vision
-    /// spec (see [`SharedModels::with_vision_spec`]); this config's
-    /// `train_frames` / `corpus_seed` only govern self-trained pipelines
-    /// ([`SecureCameraPipeline::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the frame classifier cannot be trained or a TEE component
-    /// cannot be registered (e.g. the secure carve-out is too small for
-    /// the model).
-    pub fn with_models(config: CameraPipelineConfig, models: &SharedModels) -> Result<Self> {
-        let vision = models.vision()?;
-        // The fleet path reuses the model set's cached int8 form — the
-        // "quantize once" half of train-once-quantize-once.
-        let int8 = match config.quant_mode {
-            QuantMode::Int8 => Some(models.vision_int8()?),
-            QuantMode::F32 => None,
-        };
-        SecureCameraPipeline::build(config, vision, int8)
-    }
-
-    /// Builds the camera stack around an existing trained frame
-    /// classifier (quantizing it on the spot when the config asks for
-    /// int8 mode — self-trained pipelines have no shared cache).
-    ///
-    /// # Errors
-    ///
-    /// Fails if a TEE component cannot be registered.
-    pub fn with_vision_model(config: CameraPipelineConfig, vision: Arc<FrameCnn>) -> Result<Self> {
-        let int8 = SecureCameraPipeline::quantize_for(&config, &vision);
-        SecureCameraPipeline::build(config, vision, int8)
-    }
-
-    fn build(
-        config: CameraPipelineConfig,
-        vision: Arc<FrameCnn>,
-        vision_int8: Option<Arc<QuantFrameCnn>>,
-    ) -> Result<Self> {
-        let platform = config.build_platform();
-
-        // Normal world: supplicant + network fabric + cloud endpoint —
-        // plane-routed exactly as in [`SecurePipeline::with_models`].
-        let fabric = NetworkFabric::new().with_faults(config.faults);
-        let cloud = MockCloudService::new(default_psk());
-        let ledger = match &config.ingest {
-            Some(hook) => {
-                fabric.register_service(
-                    MockCloudService::HOST,
-                    hook.endpoint(platform.clock().clone()),
-                );
-                CloudLedger::Plane(hook.clone())
-            }
-            None => {
-                fabric.register_service(MockCloudService::HOST, cloud.clone());
-                CloudLedger::Direct(Arc::clone(&cloud))
-            }
-        };
-        let supplicant = Arc::new(Supplicant::new());
-        supplicant.set_net_backend(Arc::new(fabric.clone()));
-
-        // Secure world: TEE core, secure camera driver PTA, vision TA.
-        let core = TeeCore::boot(platform.clone(), supplicant);
-        let tracer = Tracer::new(platform.clock().clone(), &config.telemetry);
-        core.set_tracer(tracer.clone());
-        let scenes = SharedSceneQueue::new();
-        let sensor = CameraSensor::smart_home("secure-camera", 0x5EC2)
-            .map_err(perisec_kernel::KernelError::from)?;
-        let camera_driver = SecureCameraDriver::new(platform.clone(), sensor, scenes.source());
-        let camera_pta = core
-            .register_pta(Box::new(CameraPta::new(camera_driver)))
-            .map_err(CoreError::from)?;
-        let mut vision_ta = VisionTa::new(
-            camera_pta,
-            vision,
-            vision_int8,
-            config.quant_mode,
-            config.policy,
-            default_cloud_host(),
-            default_psk(),
-        )
-        .with_retry(config.retry);
-        if config.ingest.is_some() {
-            vision_ta = vision_ta.with_ingest(perisec_relay::measurement_of(
-                crate::vision_ta::VISION_TA_NAME,
-            ));
-        }
-        core.register_ta(Box::new(vision_ta))
-            .map_err(CoreError::from)?;
-
-        // Configure and start the secure camera driver through its PTA.
-        core.invoke_pta(
-            camera_pta,
-            perisec_secure_driver::camera_pta::cmd::CONFIGURE,
-            &mut TeeParams::new(),
-        )
-        .map_err(CoreError::from)?;
-        core.invoke_pta(
-            camera_pta,
-            perisec_secure_driver::camera_pta::cmd::START,
-            &mut TeeParams::new(),
-        )
-        .map_err(CoreError::from)?;
-
-        // Normal world client session to the vision TA.
-        let client = TeeClient::connect(Arc::clone(&core));
-        let (vision_session, _) = client
-            .open_session(
-                TaUuid::from_name(crate::vision_ta::VISION_TA_NAME),
-                TeeParams::new(),
-            )
-            .map_err(CoreError::from)?;
-
-        let capture = SecureFrameCaptureStage::new(platform.clone(), scenes);
-        let filter = SecureFilterStage::new(platform.clone(), client.clone(), vision_session);
-
-        Ok(SecureCameraPipeline {
-            config,
-            platform,
-            client,
-            vision_session,
-            cloud,
-            ledger,
-            fabric,
-            core,
-            camera_pta,
-            capture,
-            filter,
-            relay: SecureRelayStage::new(),
-            tracer,
-        })
-    }
-
-    /// The device's telemetry tracer (see [`SecurePipeline::tracer`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Drains the telemetry accumulated so far (see
-    /// [`SecurePipeline::take_telemetry`]).
-    pub fn take_telemetry(&self) -> DeviceTelemetry {
-        self.tracer.take()
-    }
-
-    /// The simulated platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The mock cloud (for inspecting what it received).
-    pub fn cloud(&self) -> &Arc<MockCloudService> {
-        &self.cloud
-    }
-
-    /// The TEE core (for footprint reports).
-    pub fn tee_core(&self) -> &Arc<TeeCore> {
-        &self.core
-    }
-
-    /// The UUID of the camera PTA.
-    pub fn camera_pta(&self) -> TaUuid {
-        self.camera_pta
-    }
-
-    /// The configured batch size.
-    pub fn batch_windows(&self) -> usize {
-        self.config.effective_batch()
-    }
-
-    /// Installs a new privacy policy in the vision TA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE invocation failures.
-    pub fn set_policy(&mut self, policy: PrivacyPolicy) -> Result<()> {
-        let (mode, threshold) = policy.to_values();
-        let params = TeeParams::new().with(
-            0,
-            TeeParam::ValueInput {
-                a: mode,
-                b: threshold,
-            },
-        );
-        self.client
-            .invoke(
-                &self.vision_session,
-                crate::vision_ta::cmd::SET_POLICY,
-                params,
-            )
-            .map_err(CoreError::from)?;
-        self.config.policy = policy;
-        Ok(())
-    }
-
-    /// Starts a resumable scenario replay (see
-    /// [`SecureCameraPipeline::step_scenario`]).
-    pub fn begin_scenario(&mut self) -> ScenarioProgress {
-        begin_secure_stages(&self.platform, &self.ledger)
-    }
-
-    /// Drives **one** batch — one TEE crossing — of the camera scenario
-    /// through the capture → filter → relay stages and advances the
-    /// cursor. Returns whether events remain. The fleet executor's yield
-    /// point for camera devices.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE and relay failures.
-    pub fn step_scenario(
-        &mut self,
-        scenario: &CameraScenario,
-        progress: &mut ScenarioProgress,
-    ) -> Result<bool> {
-        let more = step_secure_stages(
-            &scenario.events,
-            self.config.effective_batch(),
-            None,
-            None,
-            self.config.degrade,
-            self.platform.clock(),
-            progress,
-            &mut self.capture,
-            &mut self.filter,
-            &mut self.relay,
-            &self.tracer,
-        )?;
-        if !more && progress.relay_backlog {
-            // The scenario ended with unacked records still buffered in
-            // the TA: a blocking drain retires them, so the report never
-            // misses a verdict the network delayed. Skipped on a clean
-            // finish — the healthy path pays no extra TEE crossing.
-            self.filter.drain_relay()?;
-            progress.relay_backlog = false;
-        }
-        Ok(more)
-    }
-
-    /// Assembles the report of a stepped-to-completion scenario replay.
-    /// The report counts scene events as the workload's "utterances".
-    pub fn finish_scenario(
-        &mut self,
-        scenario: &CameraScenario,
-        progress: ScenarioProgress,
-    ) -> PipelineReport {
-        finish_secure_stages(
-            "secure-camera",
-            &self.platform,
-            &self.ledger,
-            &self.fabric,
-            &mut self.relay,
-            progress,
-            WorkloadSummary {
-                utterances: scenario.len(),
-                sensitive_utterances: scenario.sensitive_count(),
-            },
-            scenario.sensitive_ids(),
-        )
-    }
-
-    /// Replays a camera scenario end to end — batch by batch through the
-    /// capture → filter → relay stages — and reports on it. The report
-    /// counts scene events as the workload's "utterances".
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE and relay failures.
-    pub fn run_scenario(&mut self, scenario: &CameraScenario) -> Result<PipelineReport> {
+    pub fn run_scenario(&mut self, scenario: &M::Scenario) -> Result<PipelineReport> {
         let mut progress = self.begin_scenario();
         while self.step_scenario(scenario, &mut progress)? {}
         Ok(self.finish_scenario(scenario, progress))

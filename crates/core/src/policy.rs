@@ -162,6 +162,13 @@ impl PrivacyPolicy {
         (mode | guard, (self.threshold * 1000.0) as u64)
     }
 
+    /// The parameters of a filter TA's `SET_POLICY` command installing
+    /// this policy.
+    pub fn to_params(&self) -> perisec_optee::TeeParams {
+        let (a, b) = self.to_values();
+        perisec_optee::TeeParams::new().with(0, perisec_optee::TeeParam::ValueInput { a, b })
+    }
+
     /// Decodes a policy from the TA parameter interface.
     pub fn from_values(mode: u64, threshold_milli: u64) -> Option<Self> {
         let lexical_guard = mode & GUARD_BIT != 0;

@@ -4,27 +4,26 @@
 //! [`perisec_core::fleet::PipelineFleet`]: it consumes the very same
 //! [`FleetConfig`] — including the `tee_cores` knob PipelineFleet rejects
 //! above 1 — and runs every camera device as a
-//! [`ShardedVisionPipeline`] over its own secure-core pool, while audio
-//! devices keep their classic single-session pipelines. All devices
-//! share one trained model set, and device reports merge into the same
-//! [`FleetReport`] (percentiles included), so sharded and unsharded
-//! fleets are compared with identical instruments.
+//! [`ShardedVisionPipeline`] over its own secure-core pool. Everything
+//! else is the core fleet's path: the shared model set, scenario
+//! validation, per-device configs ([`FleetConfig::queue`]), the
+//! single-session audio devices, the bounded executor and the merged
+//! [`FleetReport`] — so sharded and unsharded fleets are compared with
+//! identical instruments.
 //!
-//! Devices execute on the same bounded work-stealing
-//! [`FleetExecutor`](perisec_core::executor::FleetExecutor) as the
-//! unsharded fleet — audio devices reuse
-//! [`perisec_core::fleet::audio_device_task`] verbatim, camera devices
-//! wrap a [`ShardedVisionPipeline`] in the same resumable `DeviceTask`
-//! shape — so `FleetConfig::workers` bounds the host threads and the
-//! resident pipeline stacks of a sharded fleet exactly as it does for an
-//! unsharded one.
+//! Every [`FleetConfig`] field is honoured or rejected: faults are salted
+//! per device, sharded cameras included; an ingest plane serves audio
+//! devices only; the telemetry and health planes are rejected, as a
+//! sharded fleet returns neither.
+
+use std::sync::Arc;
 
 use perisec_core::executor::{
     run_thread_per_device, DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice,
     StepOutcome,
 };
-use perisec_core::fleet::{audio_device_task, DeviceReport, FleetConfig, FleetReport, Modality};
-use perisec_core::pipeline::SharedModels;
+use perisec_core::fleet::{device_task, DeviceReport, FleetConfig, FleetReport, Modality};
+use perisec_core::pipeline::{Audio, Camera, SharedModels};
 use perisec_core::{CoreError, Result};
 use perisec_workload::scenario::{CameraScenario, Scenario};
 
@@ -43,7 +42,7 @@ pub struct ShardedFleet {
 /// fanned TEE crossing.
 struct ShardedCameraTask {
     device: usize,
-    scenario: std::sync::Arc<CameraScenario>,
+    scenario: Arc<CameraScenario>,
     pipeline: ShardedVisionPipeline,
     progress: Option<ShardedScenarioProgress>,
 }
@@ -65,25 +64,6 @@ impl DeviceTask for ShardedCameraTask {
     }
 }
 
-/// Queues one sharded camera device for the fleet executor.
-fn sharded_camera_task(
-    device: usize,
-    scenario: std::sync::Arc<CameraScenario>,
-    config: ShardedCameraConfig,
-    models: SharedModels,
-) -> QueuedDevice {
-    QueuedDevice::new(device, move || {
-        let mut pipeline = ShardedVisionPipeline::with_models(config, &models)?;
-        let progress = pipeline.begin_scenario();
-        Ok(Box::new(ShardedCameraTask {
-            device,
-            scenario,
-            pipeline,
-            progress: Some(progress),
-        }))
-    })
-}
-
 impl ShardedFleet {
     /// Builds the fleet, training the shared model set once (lazily per
     /// modality, exactly as [`perisec_core::fleet::PipelineFleet`] does).
@@ -91,19 +71,12 @@ impl ShardedFleet {
     /// # Errors
     ///
     /// [`CoreError::Config`] for an empty fleet, for `tee_cores == 0`,
-    /// or for sharding requested on the single-core constrained platform;
-    /// ML training failures propagate.
+    /// for sharding requested on the single-core constrained platform, or
+    /// for a fleet setting a sharded fleet cannot honour (see the module
+    /// docs); ML training failures propagate.
     pub fn new(config: FleetConfig) -> Result<Self> {
         ShardedFleet::validate(&config)?;
-        let models = if config.devices > 0 {
-            SharedModels::for_config(&config.pipeline)?
-        } else {
-            SharedModels::deferred_for_config(&config.pipeline)
-        }
-        .with_vision_spec(
-            config.camera_pipeline.train_frames,
-            config.camera_pipeline.corpus_seed,
-        );
+        let models = config.shared_models()?;
         Ok(ShardedFleet { config, models })
     }
 
@@ -114,32 +87,30 @@ impl ShardedFleet {
     /// Same validation as [`ShardedFleet::new`], without training.
     pub fn with_models(config: FleetConfig, models: SharedModels) -> Result<Self> {
         ShardedFleet::validate(&config)?;
-        let models = models.with_vision_spec(
-            config.camera_pipeline.train_frames,
-            config.camera_pipeline.corpus_seed,
-        );
+        let models = config.adopt_models(models);
         Ok(ShardedFleet { config, models })
     }
 
     fn validate(config: &FleetConfig) -> Result<()> {
-        if config.devices + config.camera_devices == 0 {
-            return Err(CoreError::Config {
-                reason: "fleet needs at least one device".to_owned(),
-            });
-        }
-        if config.tee_cores == 0 {
-            return Err(CoreError::Config {
-                reason: "sharded fleet needs at least one tee core per camera device".to_owned(),
-            });
-        }
-        if config.camera_pipeline.constrained_platform && config.tee_cores > 1 {
-            return Err(CoreError::Config {
-                reason: "the constrained platform has a single core; it cannot host a \
-                         multi-core TEE pool"
-                    .to_owned(),
-            });
-        }
-        Ok(())
+        config.require_devices()?;
+        let reason = if config.tee_cores == 0 {
+            "sharded fleet needs at least one tee core per camera device"
+        } else if config.camera_pipeline.constrained_platform && config.tee_cores > 1 {
+            "the constrained platform has a single core; it cannot host a multi-core TEE pool"
+        } else if config.telemetry.enabled
+            || config.health.is_some()
+            || !config.trace_devices.is_empty()
+        {
+            "a sharded fleet returns neither telemetry nor a health report; run the \
+             telemetry and health planes on PipelineFleet"
+        } else if config.ingest.is_some() && config.camera_devices > 0 {
+            "sharded camera devices relay to their own cloud, not through an ingest plane"
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::Config {
+            reason: reason.to_owned(),
+        })
     }
 
     /// The per-camera-device pool configuration this fleet implies: the
@@ -192,9 +163,8 @@ impl ShardedFleet {
         audio: &[Scenario],
         cameras: &[CameraScenario],
     ) -> Result<(FleetReport, ExecutorStats)> {
-        self.validate_mixed(audio, cameras)?;
         let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) = executor.run(self.queued_devices(audio, cameras))?;
+        let (reports, stats) = executor.run(self.queued_devices(audio, cameras)?)?;
         Ok((FleetReport::new(reports), stats))
     }
 
@@ -209,65 +179,46 @@ impl ShardedFleet {
         audio: &[Scenario],
         cameras: &[CameraScenario],
     ) -> Result<FleetReport> {
-        self.validate_mixed(audio, cameras)?;
-        run_thread_per_device(self.queued_devices(audio, cameras)).map(FleetReport::new)
+        run_thread_per_device(self.queued_devices(audio, cameras)?).map(FleetReport::new)
     }
 
-    fn validate_mixed(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Result<()> {
-        if self.config.devices > 0 && audio.is_empty() {
-            return Err(CoreError::Config {
-                reason: "audio devices configured but no audio scenarios given".to_owned(),
+    /// Validates the scenarios and queues the fleet's devices on the core
+    /// fleet's path; only camera devices get their own task, built lazily
+    /// like every queued device.
+    fn queued_devices(
+        &self,
+        audio: &[Scenario],
+        cameras: &[CameraScenario],
+    ) -> Result<Vec<QueuedDevice>> {
+        self.config.validate_scenarios(audio, cameras)?;
+        let mut tasks = self
+            .config
+            .queue::<Audio>(audio, |device, scenario, config| {
+                device_task::<Audio>(device, scenario, config, self.models.clone(), None, None)
             });
-        }
-        if self.config.devices == 0 && !audio.is_empty() {
-            return Err(CoreError::Config {
-                reason: "audio scenarios given but no audio devices configured".to_owned(),
-            });
-        }
-        if self.config.camera_devices > 0 && cameras.is_empty() {
-            return Err(CoreError::Config {
-                reason: "camera devices configured but no camera scenarios given".to_owned(),
-            });
-        }
-        if self.config.camera_devices == 0 && !cameras.is_empty() {
-            return Err(CoreError::Config {
-                reason: "camera scenarios given but no camera devices configured".to_owned(),
-            });
-        }
-        Ok(())
-    }
-
-    fn queued_devices(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Vec<QueuedDevice> {
-        use std::sync::Arc;
-        let audio_devices = self.config.devices;
-        let camera_devices = self.config.camera_devices;
-        let pool_config = self.pool_config();
-        // One shared copy per distinct scenario; devices hold `Arc`s.
-        let audio: Vec<Arc<Scenario>> = audio.iter().cloned().map(Arc::new).collect();
-        let cameras: Vec<Arc<CameraScenario>> = cameras.iter().cloned().map(Arc::new).collect();
-        let mut tasks = Vec::with_capacity(audio_devices + camera_devices);
-        for device in 0..audio_devices {
-            tasks.push(audio_device_task(
-                device,
-                Arc::clone(&audio[device % audio.len()]),
-                self.config.pipeline.clone(),
-                self.models.clone(),
-            ));
-        }
-        for camera in 0..camera_devices {
-            let sharded_config = ShardedCameraConfig {
-                camera: self.config.camera_pipeline.clone(),
-                pool: pool_config.clone(),
-                ..ShardedCameraConfig::default()
-            };
-            tasks.push(sharded_camera_task(
-                audio_devices + camera,
-                Arc::clone(&cameras[camera % cameras.len()]),
-                sharded_config,
-                self.models.clone(),
-            ));
-        }
-        tasks
+        let pool = self.pool_config();
+        tasks.extend(
+            self.config
+                .queue::<Camera>(cameras, |device, scenario, camera| {
+                    let config = ShardedCameraConfig {
+                        camera,
+                        pool: pool.clone(),
+                        ..ShardedCameraConfig::default()
+                    };
+                    let models = self.models.clone();
+                    QueuedDevice::new(device, move || {
+                        let mut pipeline = ShardedVisionPipeline::with_models(config, &models)?;
+                        let progress = Some(pipeline.begin_scenario());
+                        Ok(Box::new(ShardedCameraTask {
+                            device,
+                            scenario,
+                            pipeline,
+                            progress,
+                        }))
+                    })
+                }),
+        );
+        Ok(tasks)
     }
 }
 
@@ -392,5 +343,142 @@ mod tests {
         let pooled = fleet.run_mixed(&[], &cameras).unwrap();
         let threaded = fleet.run_mixed_threaded(&[], &cameras).unwrap();
         assert_eq!(pooled.to_json(), threaded.to_json());
+    }
+
+    /// The E20 chaos-drill link.
+    fn e20_faults() -> perisec_relay::netsim::FaultSpec {
+        perisec_relay::netsim::FaultSpec {
+            drop_permille: 100,
+            duplicate_permille: 60,
+            reorder_permille: 40,
+            corrupt_permille: 40,
+            outage: Some((2, 6)),
+            ..perisec_relay::netsim::FaultSpec::none(0xE20)
+        }
+    }
+
+    fn audio_fleet(faults: Option<perisec_relay::netsim::FaultSpec>) -> FleetConfig {
+        FleetConfig {
+            devices: 2,
+            pipeline: perisec_core::pipeline::PipelineConfig {
+                train_utterances: 30,
+                ..perisec_core::pipeline::PipelineConfig::default()
+            },
+            faults,
+            ..FleetConfig::of(0)
+        }
+    }
+
+    #[test]
+    fn fleet_faults_reach_every_device() {
+        use perisec_core::fleet::PipelineFleet;
+        let config = audio_fleet(Some(e20_faults()));
+        let models = config.shared_models().unwrap();
+        let audio = Scenario::fleet(2, 8, 0.5, SimDuration::from_millis(500), 0xE20);
+        let sharded = ShardedFleet::with_models(config.clone(), models.clone())
+            .unwrap()
+            .run_mixed(&audio, &[])
+            .unwrap();
+        // The chaos reached the devices, salted per device exactly as on
+        // the unsharded fleet: the audio devices' reports are identical.
+        assert!(sharded.total_redelivered_records() + sharded.total_rejected_records() > 0);
+        let unsharded = PipelineFleet::with_models(config, models.clone())
+            .run(&audio)
+            .unwrap();
+        assert_eq!(sharded.to_json(), unsharded.to_json());
+
+        // Sharded cameras get the salted spec too: chaos costs the relay
+        // retries, so the report moves while the decisions do not.
+        let camera_fleet = |faults| FleetConfig {
+            devices: 0,
+            camera_devices: 2,
+            tee_cores: 2,
+            faults,
+            ..FleetConfig::of(0)
+        };
+        let cameras =
+            CameraScenario::fleet_cameras(2, 8, 0.5, SimDuration::from_millis(200), 0xE20);
+        let run = |faults| {
+            ShardedFleet::with_models(camera_fleet(faults), models.clone())
+                .unwrap()
+                .run_mixed(&[], &cameras)
+                .unwrap()
+        };
+        let (clean, chaotic) = (run(None), run(Some(e20_faults())));
+        assert!(chaotic.total_redelivered_records() + chaotic.total_rejected_records() > 0);
+        // Each shard commits in its own order, so chaos may interleave
+        // the shards differently — but every device's decisions survive.
+        for (a, b) in clean.devices().iter().zip(chaotic.devices()) {
+            let (a, b) = (&a.report.cloud.report, &b.report.cloud.report);
+            assert_eq!(a.events.len(), b.events.len());
+            assert_eq!(a.received_dialog_ids(), b.received_dialog_ids());
+        }
+    }
+
+    #[test]
+    fn ingest_routed_audio_devices_commit_through_the_plane() {
+        use perisec_ingest::{IngestPlane, IngestPlaneConfig};
+        let config = audio_fleet(None);
+        let models = config.shared_models().unwrap();
+        let plane = IngestPlane::new(IngestPlaneConfig::new(1, 2).accepting(vec![
+            perisec_relay::measurement_of(perisec_core::FILTER_TA_NAME),
+        ]));
+        let audio = Scenario::fleet(2, 4, 0.0, SimDuration::from_secs(1), 0x1E5);
+        let report = ShardedFleet::with_models(
+            FleetConfig {
+                ingest: Some(Arc::clone(&plane) as _),
+                ..config
+            },
+            models,
+        )
+        .unwrap()
+        .run_mixed(&audio, &[])
+        .unwrap();
+        // Every device attested and its records were committed by the
+        // plane — none went to a private mock cloud.
+        assert_eq!(plane.counters().attest_grants, 2);
+        assert!(plane.total_committed() > 0);
+        let reported: usize = report
+            .devices()
+            .iter()
+            .map(|d| d.report.cloud.report.events.len())
+            .sum();
+        assert_eq!(plane.total_committed(), reported as u64);
+    }
+
+    #[test]
+    fn unsupported_fleet_settings_are_rejected() {
+        use perisec_ingest::{IngestPlane, IngestPlaneConfig};
+        use perisec_telemetry::{HealthConfig, TelemetryConfig};
+        let cameras = FleetConfig {
+            devices: 0,
+            camera_devices: 1,
+            tee_cores: 2,
+            ..FleetConfig::of(0)
+        };
+        let rejected = [
+            FleetConfig {
+                telemetry: TelemetryConfig::metrics(),
+                ..cameras.clone()
+            },
+            FleetConfig {
+                health: Some(HealthConfig::with_window(SimDuration::from_secs(1))),
+                ..cameras.clone()
+            },
+            FleetConfig {
+                trace_devices: [0].into(),
+                ..cameras.clone()
+            },
+            FleetConfig {
+                ingest: Some(IngestPlane::new(IngestPlaneConfig::new(1, 1)) as _),
+                ..cameras.clone()
+            },
+        ];
+        for config in rejected {
+            assert!(matches!(
+                ShardedFleet::new(config),
+                Err(CoreError::Config { .. })
+            ));
+        }
     }
 }

@@ -23,15 +23,17 @@
 //!   [`perisec_core::stage::PipelineStage`] trait, plus
 //!   [`stage::merge_verdicts`]: order-invariant verdict merging (max
 //!   probability, most restrictive decision, per dialog id);
-//! * [`batcher`] — [`batcher::AdaptiveBatcher`] (re-exported from
-//!   `perisec_core::batcher`, which also drives the audio pipeline):
-//!   picks `batch_windows` per shard from queue depth against a latency
-//!   SLO using the E11 cost curve;
 //! * [`pipeline`] — [`pipeline::ShardedVisionPipeline`]: the secure
-//!   camera pipeline fanned out across a pool, end to end;
+//!   camera pipeline fanned out across a pool, end to end; each fanned
+//!   crossing's batch is picked by the same
+//!   [`perisec_core::batcher::BatchControl`] (fixed batch, or an adaptive
+//!   batcher against a latency SLO steered by SLO pressure) as the
+//!   single-session `SecureDevice`;
 //! * [`fleet`] — [`fleet::ShardedFleet`]: the multi-device harness whose
 //!   camera devices each run on a pool
-//!   ([`perisec_core::fleet::FleetConfig::tee_cores`]).
+//!   ([`perisec_core::fleet::FleetConfig::tee_cores`]); model-set setup,
+//!   validation, per-device config and the audio devices all run on the
+//!   core fleet's path, so only the sharded camera task is its own.
 //!
 //! The sharding contract, pinned by `tests/shard_parity.rs` and the
 //! property tests: sharding changes *throughput*, never *outcome* — the
@@ -42,14 +44,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod fleet;
 pub mod pipeline;
 pub mod pool;
 pub mod scheduler;
 pub mod stage;
 
-pub use batcher::AdaptiveBatcher;
 pub use fleet::ShardedFleet;
 pub use pipeline::{
     CoreUtilization, ShardedCameraConfig, ShardedRunReport, ShardedScenarioProgress,

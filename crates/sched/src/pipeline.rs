@@ -6,8 +6,9 @@
 //! vision TA session and a capture/filter shard, all relaying through
 //! one network fabric to **one** cloud — so the privacy ledger of a
 //! sharded device reads exactly like an unsharded one. The vision TAs
-//! share one [`FrameCnn`]; with [`ShardedCameraConfig::dedup_models`] the
-//! weights are charged to the shared carve-out **once**
+//! share one [`FrameCnn`](perisec_ml::vision::FrameCnn); with
+//! [`ShardedCameraConfig::dedup_models`] the weights are charged to the
+//! shared carve-out **once**
 //! ([`perisec_optee::TeeCore::register_ta_shared`]) instead of once per
 //! session.
 //!
@@ -19,28 +20,17 @@
 
 use std::sync::Arc;
 
-use perisec_core::filter_ta::{default_cloud_host, default_psk};
-use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
+use perisec_core::batcher::{AdaptiveBatcher, BatchControl};
+use perisec_core::filter_ta::default_psk;
+use perisec_core::pipeline::{Camera, CameraPipelineConfig, DeviceModality, SharedModels};
 use perisec_core::policy::PrivacyPolicy;
 use perisec_core::report::{CloudOutcome, PipelineReport, WorkloadSummary};
-use perisec_core::source::SharedSceneQueue;
-use perisec_core::stage::{
-    PipelineStage, SecureFilterStage, SecureFrameCaptureStage, SecureRelayStage,
-};
-use perisec_core::vision_ta::{self, VisionTa, VISION_TA_NAME};
+use perisec_core::stage::{PipelineStage, SecureFilterStage, SecureRelayStage};
 use perisec_core::{CoreError, Result};
-use perisec_devices::camera::CameraSensor;
-use perisec_ml::classifier::Architecture;
-use perisec_ml::int8::QuantFrameCnn;
-use perisec_ml::quant::QuantMode;
-use perisec_ml::vision::FrameCnn;
-use perisec_optee::{Supplicant, TaUuid, TeeClient, TeeParam, TeeParams, TeeSessionHandle};
+use perisec_optee::{Supplicant, TaUuid, TeeClient, TeeParams, TeeSessionHandle};
 use perisec_relay::cloud::MockCloudService;
 use perisec_relay::netsim::NetworkFabric;
-use perisec_secure_driver::camera::SecureCameraDriver;
-use perisec_secure_driver::camera_pta::{cmd as camera_cmd, CameraPta};
 use perisec_tcb::memory::SecureRamFootprint;
-use perisec_telemetry::PressureMonitor;
 use perisec_tz::power::{Component, ComponentEnergy, EnergyReport};
 use perisec_tz::stats::TzStatsSnapshot;
 use perisec_tz::time::{SimDuration, SimInstant};
@@ -48,14 +38,8 @@ use perisec_workload::scenario::CameraScenario;
 
 use serde::{Deserialize, Serialize};
 
-use crate::batcher::AdaptiveBatcher;
 use crate::pool::{TeePool, TeePoolConfig};
 use crate::stage::{ShardedFilterStage, ShardedFrameCaptureStage};
-
-/// The camera sensor seed every shard (and the unsharded reference
-/// pipeline) uses, so sharded and unsharded runs face the same imaging
-/// chain.
-const SENSOR_SEED: u64 = 0x5EC2;
 
 /// The per-window fixed cost — the window's amortized share of one TEE
 /// crossing plus dispatch — expressed in frame-equivalents of
@@ -185,8 +169,7 @@ pub struct ShardedVisionPipeline {
     capture: ShardedFrameCaptureStage,
     filter: ShardedFilterStage,
     relay: SecureRelayStage,
-    batcher: Option<AdaptiveBatcher>,
-    pressure: Option<PressureMonitor>,
+    batches: BatchControl,
 }
 
 impl std::fmt::Debug for ShardedVisionPipeline {
@@ -194,7 +177,7 @@ impl std::fmt::Debug for ShardedVisionPipeline {
         f.debug_struct("ShardedVisionPipeline")
             .field("shards", &self.pool.len())
             .field("dedup_models", &self.config.dedup_models)
-            .field("adaptive", &self.batcher.is_some())
+            .field("batches", &self.batches)
             .finish()
     }
 }
@@ -207,8 +190,7 @@ impl ShardedVisionPipeline {
     /// Fails if the classifier cannot be trained, the pool configuration
     /// is degenerate, or a TEE component cannot be registered.
     pub fn new(config: ShardedCameraConfig) -> Result<Self> {
-        let models = SharedModels::deferred(Architecture::Cnn, 16, config.camera.corpus_seed)
-            .with_vision_spec(config.camera.train_frames, config.camera.corpus_seed);
+        let models = Camera::models(&config.camera)?;
         ShardedVisionPipeline::with_models(config, &models)
     }
 
@@ -220,34 +202,13 @@ impl ShardedVisionPipeline {
     ///
     /// Same as [`ShardedVisionPipeline::new`].
     pub fn with_models(config: ShardedCameraConfig, models: &SharedModels) -> Result<Self> {
-        let vision = models.vision()?;
-        // The fleet path reuses the model set's cached int8 form.
-        let int8 = match config.camera.quant_mode {
-            QuantMode::Int8 => Some(models.vision_int8()?),
-            QuantMode::F32 => None,
-        };
-        ShardedVisionPipeline::build(config, vision, int8)
-    }
-
-    /// Builds the sharded stack around an existing trained classifier
-    /// (quantizing it on the spot in int8 mode).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedVisionPipeline::new`].
-    pub fn with_vision_model(config: ShardedCameraConfig, vision: Arc<FrameCnn>) -> Result<Self> {
-        let int8 = match config.camera.quant_mode {
-            QuantMode::Int8 => QuantFrameCnn::from_trained(&vision).map(Arc::new),
-            QuantMode::F32 => None,
-        };
-        ShardedVisionPipeline::build(config, vision, int8)
-    }
-
-    fn build(
-        config: ShardedCameraConfig,
-        vision: Arc<FrameCnn>,
-        vision_int8: Option<Arc<QuantFrameCnn>>,
-    ) -> Result<Self> {
+        if config.camera.ingest.is_some() {
+            return Err(CoreError::Config {
+                reason: "a sharded camera relays to its own cloud; ingest-plane routing is \
+                         single-session only"
+                    .to_owned(),
+            });
+        }
         // Normal world, shared by every core: one fabric, one cloud.
         let fabric = NetworkFabric::new().with_faults(config.camera.faults);
         let cloud = MockCloudService::new(default_psk());
@@ -259,67 +220,36 @@ impl ShardedVisionPipeline {
             supplicant
         })?;
 
-        // The weights' content key: co-resident sessions holding the same
-        // `Arc` share the same allocation. In int8 mode the *quantized*
-        // bytes are what the sessions keep resident, so they are what the
-        // shared reservation charges to the TZDRAM carve-out — the ~4x
-        // residency drop shows up directly in [`SecureRamFootprint`].
-        let (model_key, model_bytes) = match &vision_int8 {
-            Some(int8) => (Arc::as_ptr(int8) as u64, int8.memory_bytes()),
-            None => (Arc::as_ptr(&vision) as u64, vision.memory_bytes_f32()),
-        };
-
+        // Per core, the single-session camera's own session install; with
+        // `dedup_models` every session charges the shared weights once.
         let mut sessions = Vec::with_capacity(pool.len());
         let mut capture_shards = Vec::with_capacity(pool.len());
         let mut filter_shards = Vec::with_capacity(pool.len());
         for handle in pool.cores() {
             let platform = handle.platform().clone();
             let core = handle.core();
-            let scenes = SharedSceneQueue::new();
-            let sensor = CameraSensor::smart_home("secure-camera", SENSOR_SEED)
-                .map_err(perisec_kernel::KernelError::from)?;
-            let driver = SecureCameraDriver::new(platform.clone(), sensor, scenes.source());
-            let camera_pta: TaUuid = core
-                .register_pta(Box::new(CameraPta::new(driver)))
-                .map_err(CoreError::from)?;
-            let ta = VisionTa::new(
-                camera_pta,
-                Arc::clone(&vision),
-                vision_int8.clone(),
-                config.camera.quant_mode,
-                config.camera.policy,
-                default_cloud_host(),
-                default_psk(),
-            )
-            .with_retry(config.camera.retry);
-            if config.dedup_models {
-                core.register_ta_shared(Box::new(ta), model_key, model_bytes)
-                    .map_err(CoreError::from)?;
-            } else {
-                core.register_ta(Box::new(ta)).map_err(CoreError::from)?;
-            }
-            core.invoke_pta(camera_pta, camera_cmd::CONFIGURE, &mut TeeParams::new())
-                .map_err(CoreError::from)?;
-            core.invoke_pta(camera_pta, camera_cmd::START, &mut TeeParams::new())
-                .map_err(CoreError::from)?;
-
+            let (capture, _) = Camera::install_session(
+                core,
+                &platform,
+                &config.camera,
+                models,
+                config.dedup_models,
+            )?;
             let client = TeeClient::connect(Arc::clone(core));
             let (session, _) = client
-                .open_session(TaUuid::from_name(VISION_TA_NAME), TeeParams::new())
+                .open_session(TaUuid::from_name(Camera::TA_NAME), TeeParams::new())
                 .map_err(CoreError::from)?;
-            capture_shards.push(SecureFrameCaptureStage::new(platform.clone(), scenes));
+            capture_shards.push(capture);
             filter_shards.push(SecureFilterStage::new(platform, client.clone(), session));
             sessions.push((client, session));
         }
 
-        let batcher = config
-            .latency_slo
-            .map(|slo| AdaptiveBatcher::new(&config.pool.cost, slo, 64));
-        // The pressure spec is inert without a batcher to steer.
-        let pressure = match (&batcher, config.slo_pressure) {
-            (Some(_), Some(spec)) => Some(PressureMonitor::for_spec(spec)),
-            _ => None,
-        };
+        let batches = BatchControl::new(
+            &config.pool.cost,
+            config.camera.batch_windows,
+            config.latency_slo,
+            config.slo_pressure,
+        );
         let stealing = config.work_stealing;
         // The steal pass weighs each window by frames *plus* the fixed
         // crossing + dispatch cost (ROADMAP follow-on from the
@@ -328,7 +258,7 @@ impl ShardedVisionPipeline {
         let overhead = if stealing {
             window_overhead_frames(
                 &config.pool.cost,
-                vision.flops_per_inference(),
+                models.vision()?.flops_per_inference(),
                 config.camera.batch_windows,
             )
         } else {
@@ -347,8 +277,7 @@ impl ShardedVisionPipeline {
                 .with_stealing(stealing)
                 .with_window_overhead(overhead),
             relay: SecureRelayStage::new(),
-            batcher,
-            pressure,
+            batches,
         })
     }
 
@@ -356,18 +285,13 @@ impl ShardedVisionPipeline {
     /// of a device whose cores run concurrently (the same max-over-cores
     /// convention the run report's `virtual_time` uses).
     fn fleet_now(&self) -> SimInstant {
-        self.pool
-            .cores()
-            .iter()
-            .map(|handle| handle.platform().clock().now())
-            .max()
-            .unwrap_or(SimInstant::EPOCH)
+        SimInstant::EPOCH + self.pool.max_virtual_time()
     }
 
     /// The current SLO-pressure verdict, when the monitor is configured
     /// (`None` without [`ShardedCameraConfig::slo_pressure`]).
     pub fn pressure_state(&self) -> Option<perisec_telemetry::HealthState> {
-        self.pressure.as_ref().map(PressureMonitor::state)
+        self.batches.pressure_state()
     }
 
     /// The secure-core pool.
@@ -391,17 +315,9 @@ impl ShardedVisionPipeline {
     ///
     /// Propagates the first failing TEE invocation.
     pub fn set_policy(&mut self, policy: PrivacyPolicy) -> Result<()> {
-        let (mode, threshold) = policy.to_values();
         for (client, session) in &self.sessions {
-            let params = TeeParams::new().with(
-                0,
-                TeeParam::ValueInput {
-                    a: mode,
-                    b: threshold,
-                },
-            );
             client
-                .invoke(session, vision_ta::cmd::SET_POLICY, params)
+                .invoke(session, Camera::SET_POLICY, policy.to_params())
                 .map_err(CoreError::from)?;
         }
         self.config.camera.policy = policy;
@@ -452,50 +368,25 @@ impl ShardedVisionPipeline {
         if progress.next_event >= scenario.events.len() {
             return Ok(false);
         }
-        let fixed_batch = self.config.camera.batch_windows.max(1);
-        let depth = scenario.events.len() - progress.next_event;
-        let batch = match &self.batcher {
-            Some(batcher) => batcher.pick_batch(depth),
-            None => fixed_batch,
-        }
-        .min(depth);
+        let batch = self
+            .batches
+            .next_batch(scenario.events.len() - progress.next_event);
         let chunk = scenario.events[progress.next_event..progress.next_event + batch].to_vec();
-        let windows = chunk.len() as u64;
         let prepared = self.capture.process(chunk)?;
+        // The batch policy sees the whole fanned crossing, slowest core
+        // to slowest core — so crossing overhead and cross-core imbalance
+        // count.
         let filter_start = self.fleet_now();
         let filtered = self.filter.process(prepared.into())?;
-        let filter_end = self.fleet_now();
-        if let Some(batcher) = &mut self.batcher {
-            if windows > 0 && !filtered.per_utterance.is_empty() {
-                let mean = filtered.per_utterance.iter().copied().sum::<SimDuration>()
-                    / filtered.per_utterance.len() as u64;
-                batcher.observe(mean);
-            }
-            if let Some(pressure) = &mut self.pressure {
-                // The monitor sees the per-window share of the whole
-                // fanned crossing (slowest core to slowest core), not the
-                // TA-internal per-utterance times the EWMA averages — so
-                // crossing overhead and cross-core imbalance count.
-                pressure.observe(filter_end.duration_since(filter_start) / windows.max(1));
-                batcher.set_pressure(pressure.advance(filter_end));
-            }
-            // Relay backlog overrides any SLO verdict: a shard's bounded
-            // unacked buffer is backing up, so fall to single-window
-            // probes until the network drains it.
-            if filtered.backlog > 0 {
-                batcher.set_pressure(perisec_telemetry::HealthState::Critical);
-            }
-        }
-        let backlog = filtered.backlog;
+        let backlog = self
+            .batches
+            .observe(&filtered, batch, filter_start, self.fleet_now());
         self.relay.process(filtered)?;
         progress.next_event += batch;
         let more = progress.next_event < scenario.events.len();
-        if !more && backlog > 0 {
+        if !more && backlog {
             // The scenario ended with unacked records still buffered in
-            // some shard: a blocking drain on every shard retires them,
-            // so the report never misses a verdict the network delayed.
-            // Skipped on a clean finish — the healthy path pays no extra
-            // TEE crossings.
+            // some shard: a blocking drain on every shard retires them.
             self.filter.drain_relay()?;
         }
         Ok(more)

@@ -3,7 +3,7 @@
 //! A [`Tracer`] is shared (cheaply cloned) by every layer of one device's
 //! stack — pipeline stages, the TEE core's SMC path, the TAs' inference
 //! stages — and timestamps spans off the device's own
-//! [`SimClock`](perisec_tz::time::SimClock). Virtual time is deterministic,
+//! [`SimClock`]. Virtual time is deterministic,
 //! so the resulting trace is too: the same scenario yields the same spans
 //! with the same durations on any host, at any executor worker count.
 //!
