@@ -272,12 +272,15 @@ impl FilterTa {
         let audio = self.encoding.decode(encoded_audio, format);
         let samples_len = audio.samples().len();
         // The STT charge is split by stage so each span covers its own
-        // share of the virtual time; the split is unconditional, so the
-        // charged total — and the report — is identical with telemetry
-        // on, off, or absent.
+        // share of the virtual time and the host work of that stage; the
+        // split is unconditional, so the charged total — and the report —
+        // is identical with telemetry on, off, or absent.
         {
             let _mfcc = tracer.span("ta.mfcc");
             env.charge_compute(self.models.stt.mfcc_flops_for(samples_len));
+            self.models
+                .stt
+                .segment_features_with(audio.samples(), &mut self.plan);
         }
         // Both modes share segmentation and the f32 MFCC front end; in
         // int8 mode the template matching runs on the quantized kernels
@@ -287,14 +290,8 @@ impl FilterTa {
             let _stt = tracer.span("ta.stt");
             env.charge_compute(self.models.stt.matching_flops_for(samples_len));
             match self.quant {
-                QuantMode::Int8 => self
-                    .models
-                    .stt
-                    .transcribe_to_tokens_int8_with(audio.samples(), &mut self.plan),
-                QuantMode::F32 => self
-                    .models
-                    .stt
-                    .transcribe_to_tokens_with(audio.samples(), &mut self.plan),
+                QuantMode::Int8 => self.models.stt.match_segments_int8_with(&mut self.plan),
+                QuantMode::F32 => self.models.stt.match_segments_with(&mut self.plan),
             }
         };
         let probability = {

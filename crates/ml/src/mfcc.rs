@@ -2,19 +2,33 @@
 //!
 //! The keyword speech-to-text model ([`crate::stt`]) operates on
 //! mel-frequency cepstral coefficients, the standard front-end of small
-//! speech recognizers. Everything — including the radix-2 FFT — is
-//! implemented here.
+//! speech recognizers. Everything — including the FFT — is implemented
+//! here.
 //!
 //! The pipeline runs in **f32 with precomputed tables**: the Hamming
 //! window (pre-scaled by the i16 full-scale), every FFT twiddle factor
-//! (tabulated per stage, so the butterfly loop has no dependent rotation
-//! recurrence, let alone trigonometry), the mel filterbank taps and the
-//! DCT-II basis. Constants are computed once in f64 and rounded to f32;
-//! the per-frame arithmetic is pure single-precision, which halves the
-//! scratch bandwidth and doubles the SIMD lane count on the TA hot path.
-//! Frame energies for VAD are the one exception: the sums of squared i16
+//! (split re/im tables per stage, so the butterfly loop has no dependent
+//! rotation recurrence, let alone trigonometry), the mel filterbank taps
+//! and the DCT-II basis. Constants are computed once in f64 and rounded
+//! to f32; the per-frame arithmetic is pure single-precision. Frame
+//! energies for VAD are the one exception: the sums of squared i16
 //! samples are **exact i64 integers**, with a single f64 divide and
 //! square root per frame at the end.
+//!
+//! The FFT is a **real-input** transform. A `frame_len`-sample real frame
+//! goes in as a `frame_len / 2`-point complex FFT — even samples in the
+//! real part, odd samples in the imaginary part, windowed and
+//! bit-reversed while packing — and a split pass with one post-twiddle
+//! per bin recovers the power bins `0..frame_len / 2` that the mel
+//! filterbank reads. The butterflies never run over an all-zero
+//! imaginary half, and the first two stages (twiddles 1 and −i) run
+//! without a multiply.
+//!
+//! The compute charges that the filter TA bills to virtual time
+//! ([`crate::stt::KeywordStt::mfcc_flops_for`] and its siblings) model
+//! the cost of a straightforward front end on the device. They are a
+//! fixed cost model, not a count of the host work done here, so a faster
+//! host algorithm leaves every simulated latency unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +40,7 @@ use crate::tensor::Matrix;
 pub struct MfccConfig {
     /// Sample rate of the input audio.
     pub sample_rate_hz: u32,
-    /// Analysis frame length in samples (must be a power of two).
+    /// Analysis frame length in samples (a power of two, at least 4).
     pub frame_len: usize,
     /// Hop between frames in samples.
     pub hop_len: usize,
@@ -59,102 +73,277 @@ impl Default for MfccConfig {
     }
 }
 
-/// In-place iterative radix-2 FFT over split re/im buffers (one-shot
-/// plan; the extractor holds a persistent [`FftPlan`]).
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two (guarded by the extractor).
-#[cfg(test)]
-fn fft_radix2(re: &mut [f32], im: &mut [f32]) {
-    let n = re.len();
-    let plan = FftPlan::new(n);
-    plan.run(re, im);
+/// The bit-reversal permutation of `0..n` (`n` a power of two).
+fn bit_reversal(n: usize) -> Vec<u32> {
+    let bits = n.trailing_zeros();
+    (0..n as u32)
+        .map(|i| {
+            if bits == 0 {
+                0
+            } else {
+                i.reverse_bits() >> (32 - bits)
+            }
+        })
+        .collect()
 }
 
-/// The precomputed constants of one radix-2 FFT size: the bit-reversal
-/// permutation and the **full twiddle table** of every butterfly stage.
-/// Building the plan costs one pass of f64 trigonometry at extractor
-/// construction; every subsequent frame reuses it — the FFT hot loop
-/// performs no `sin`/`cos` and no incremental rotation (the dependent
-/// multiply chain the old f64 loop serialized on), just table lookups
-/// over `n - 1` tabulated (cos, sin) pairs.
+/// The butterfly stages of one radix-2 complex FFT size, over split
+/// re/im buffers whose input is already in bit-reversed order (the
+/// real-input packing writes it that way). The twiddles of every stage of
+/// length 8 and up are tabulated, so the hot loop performs no `sin`/`cos`
+/// and no incremental rotation; the stages of length 2 and 4 use the
+/// trivial twiddles 1 and −i and run fused, without a multiply, and the
+/// tabulated stages run in fused pairs.
 #[derive(Debug, Clone)]
 struct FftPlan {
     n: usize,
-    /// Swap targets of the bit-reversal permutation (`i < j` pairs only).
-    swaps: Vec<(u32, u32)>,
-    /// Twiddles of stage `s` (len = 2^(s+1)): `len/2` (cos, sin) pairs,
-    /// flattened stage after stage (offset of stage `s` is `2^s - 1`).
-    twiddles: Vec<(f32, f32)>,
+    /// Twiddle cosines of the stages of length 8, 16, .., `n`: stage
+    /// `len` holds `len / 2` entries, flattened stage after stage.
+    twiddle_re: Vec<f32>,
+    /// Twiddle sines, laid out like `twiddle_re`.
+    twiddle_im: Vec<f32>,
 }
 
 impl FftPlan {
     fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "fft length must be a power of two");
-        let mut swaps = Vec::new();
-        let mut j = 0usize;
-        for i in 1..n {
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-            if i < j {
-                swaps.push((i as u32, j as u32));
-            }
-        }
-        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
-        let mut len = 2usize;
+        let mut twiddle_re = Vec::new();
+        let mut twiddle_im = Vec::new();
+        let mut len = 8usize;
         while len <= n {
             for k in 0..len / 2 {
                 let angle = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
-                twiddles.push((angle.cos() as f32, angle.sin() as f32));
+                twiddle_re.push(angle.cos() as f32);
+                twiddle_im.push(angle.sin() as f32);
             }
             len <<= 1;
         }
-        FftPlan { n, swaps, twiddles }
+        FftPlan {
+            n,
+            twiddle_re,
+            twiddle_im,
+        }
     }
 
-    /// Runs the planned FFT in place.
+    /// Runs the butterfly stages in place over bit-reversed input.
     ///
     /// # Panics
     ///
     /// Panics if the buffers differ from the planned length.
-    fn run(&self, re: &mut [f32], im: &mut [f32]) {
+    fn butterflies(&self, re: &mut [f32], im: &mut [f32]) {
         let n = self.n;
         assert_eq!(re.len(), n, "fft buffer does not match the plan");
         assert_eq!(im.len(), n, "fft buffer does not match the plan");
-        if n <= 1 {
-            return;
+        if n == 2 {
+            let (r0, r1) = (re[0], re[1]);
+            let (i0, i1) = (im[0], im[1]);
+            re[0] = r0 + r1;
+            re[1] = r0 - r1;
+            im[0] = i0 + i1;
+            im[1] = i0 - i1;
         }
-        for &(i, j) in &self.swaps {
-            re.swap(i as usize, j as usize);
-            im.swap(i as usize, j as usize);
+        // Stages of length 2 and 4, fused: the length-4 stage multiplies
+        // its odd half by 1 and −i, i.e. (r, i) -> (i, -r).
+        for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+            let (r0, r1, r2, r3) = (r[0] + r[1], r[0] - r[1], r[2] + r[3], r[2] - r[3]);
+            let (i0, i1, i2, i3) = (i[0] + i[1], i[0] - i[1], i[2] + i[3], i[2] - i[3]);
+            r[0] = r0 + r2;
+            i[0] = i0 + i2;
+            r[2] = r0 - r2;
+            i[2] = i0 - i2;
+            r[1] = r1 + i3;
+            i[1] = i1 - r3;
+            r[3] = r1 - i3;
+            i[3] = i1 + r3;
         }
-        let mut len = 2usize;
-        let mut stage_offset = 0usize;
-        while len <= n {
+        let mut len = 8usize;
+        let mut offset = 0usize;
+        // Stages `len` and `2 len` fused into one pass over each group of
+        // `2 len` values: quarters a, b, c, d take a <- a + w1 b and
+        // c <- c + w1 d (stage `len`), then a <- a + w2 c and b <- b + w3 d
+        // (stage `2 len`), so each value is loaded and stored once per
+        // two stages.
+        while 2 * len <= n {
             let half = len / 2;
-            let twiddles = &self.twiddles[stage_offset..stage_offset + half];
-            let mut i = 0;
-            while i < n {
-                for (k, &(w_re, w_im)) in twiddles.iter().enumerate() {
-                    let even_re = re[i + k];
-                    let even_im = im[i + k];
-                    let odd_re = re[i + k + half] * w_re - im[i + k + half] * w_im;
-                    let odd_im = re[i + k + half] * w_im + im[i + k + half] * w_re;
-                    re[i + k] = even_re + odd_re;
-                    im[i + k] = even_im + odd_im;
-                    re[i + k + half] = even_re - odd_re;
-                    im[i + k + half] = even_im - odd_im;
+            let (w1_re, w1_im) = (
+                &self.twiddle_re[offset..offset + half],
+                &self.twiddle_im[offset..offset + half],
+            );
+            let (w2_re, w2_im) = (
+                &self.twiddle_re[offset + half..offset + half + len],
+                &self.twiddle_im[offset + half..offset + half + len],
+            );
+            for (r, i) in re
+                .chunks_exact_mut(2 * len)
+                .zip(im.chunks_exact_mut(2 * len))
+            {
+                let (r_ab, r_cd) = r.split_at_mut(len);
+                let (i_ab, i_cd) = i.split_at_mut(len);
+                let ((ra, rb), (rc, rd)) = (r_ab.split_at_mut(half), r_cd.split_at_mut(half));
+                let ((ia, ib), (ic, id)) = (i_ab.split_at_mut(half), i_cd.split_at_mut(half));
+                for k in 0..half {
+                    let (c1, s1) = (w1_re[k], w1_im[k]);
+                    let (c2, s2) = (w2_re[k], w2_im[k]);
+                    let (c3, s3) = (w2_re[k + half], w2_im[k + half]);
+                    let (tb_re, tb_im) = (rb[k] * c1 - ib[k] * s1, rb[k] * s1 + ib[k] * c1);
+                    let (td_re, td_im) = (rd[k] * c1 - id[k] * s1, rd[k] * s1 + id[k] * c1);
+                    let (a_re, a_im) = (ra[k] + tb_re, ia[k] + tb_im);
+                    let (b_re, b_im) = (ra[k] - tb_re, ia[k] - tb_im);
+                    let (c_re, c_im) = (rc[k] + td_re, ic[k] + td_im);
+                    let (d_re, d_im) = (rc[k] - td_re, ic[k] - td_im);
+                    let (tc_re, tc_im) = (c_re * c2 - c_im * s2, c_re * s2 + c_im * c2);
+                    let (te_re, te_im) = (d_re * c3 - d_im * s3, d_re * s3 + d_im * c3);
+                    ra[k] = a_re + tc_re;
+                    ia[k] = a_im + tc_im;
+                    rc[k] = a_re - tc_re;
+                    ic[k] = a_im - tc_im;
+                    rb[k] = b_re + te_re;
+                    ib[k] = b_im + te_im;
+                    rd[k] = b_re - te_re;
+                    id[k] = b_im - te_im;
                 }
-                i += len;
             }
-            stage_offset += half;
-            len <<= 1;
+            offset += half + len;
+            len <<= 2;
         }
+        // An odd number of tabulated stages leaves the last one single.
+        if len <= n {
+            let half = len / 2;
+            let w_re = &self.twiddle_re[offset..offset + half];
+            let w_im = &self.twiddle_im[offset..offset + half];
+            let (r_lo, r_hi) = re.split_at_mut(half);
+            let (i_lo, i_hi) = im.split_at_mut(half);
+            for ((((lr, li), hr), hi), (&c, &s)) in r_lo
+                .iter_mut()
+                .zip(i_lo.iter_mut())
+                .zip(r_hi.iter_mut())
+                .zip(i_hi.iter_mut())
+                .zip(w_re.iter().zip(w_im))
+            {
+                let odd_re = *hr * c - *hi * s;
+                let odd_im = *hr * s + *hi * c;
+                *hr = *lr - odd_re;
+                *hi = *li - odd_im;
+                *lr += odd_re;
+                *li += odd_im;
+            }
+        }
+    }
+}
+
+/// The real-input FFT of one windowed `frame_len`-sample frame, as a
+/// `frame_len / 2`-point complex FFT plus a split pass.
+#[derive(Debug, Clone)]
+struct RealFft {
+    /// Complex slot `i` takes frame samples `source[i]` (real part) and
+    /// `source[i] + 1` (imaginary part): `source[i]` is twice the
+    /// bit-reversal of `i`, so packing leaves the input in the order the
+    /// butterflies expect.
+    source: Vec<u32>,
+    /// The window at `source[i]`, pre-divided by the i16 full scale.
+    window_even: Vec<f32>,
+    /// The window at `source[i] + 1`, pre-divided by the i16 full scale.
+    window_odd: Vec<f32>,
+    half: FftPlan,
+    /// `cos(-2πk / frame_len)` for `k` in `0..frame_len / 2`: the split
+    /// pass's post-twiddles.
+    post_re: Vec<f32>,
+    /// `sin(-2πk / frame_len)`, laid out like `post_re`.
+    post_im: Vec<f32>,
+}
+
+impl RealFft {
+    /// Plans the transform of `window.len()`-sample frames; `window`
+    /// already carries the sample normalization.
+    fn new(window: &[f32]) -> Self {
+        let n = window.len();
+        assert!(
+            n >= 4 && n.is_power_of_two(),
+            "real fft length must be a power of two, at least 4"
+        );
+        let m = n / 2;
+        let source: Vec<u32> = bit_reversal(m).into_iter().map(|k| 2 * k).collect();
+        let (post_re, post_im) = (0..m)
+            .map(|k| {
+                let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                (angle.cos() as f32, angle.sin() as f32)
+            })
+            .unzip();
+        RealFft {
+            window_even: source.iter().map(|&s| window[s as usize]).collect(),
+            window_odd: source.iter().map(|&s| window[s as usize + 1]).collect(),
+            source,
+            half: FftPlan::new(m),
+            post_re,
+            post_im,
+        }
+    }
+
+    /// The power spectrum `|X[k]|^2`, `k` in `0..frame_len / 2`, of the
+    /// windowed `frame` into `power`; `re`/`im` are scratch.
+    fn power_into(
+        &self,
+        frame: &[i16],
+        re: &mut Vec<f32>,
+        im: &mut Vec<f32>,
+        power: &mut Vec<f32>,
+    ) {
+        let m = self.source.len();
+        let frame = &frame[..2 * m];
+        re.clear();
+        re.resize(m, 0.0);
+        im.clear();
+        im.resize(m, 0.0);
+        for (((r, i), &source), (&w_even, &w_odd)) in re
+            .iter_mut()
+            .zip(im.iter_mut())
+            .zip(&self.source)
+            .zip(self.window_even.iter().zip(&self.window_odd))
+        {
+            let s = source as usize;
+            *r = f32::from(frame[s]) * w_even;
+            *i = f32::from(frame[s + 1]) * w_odd;
+        }
+        self.half.butterflies(re, im);
+        // Split: with Z the packed FFT and Y[k] = Z[m - k] (`yr`, `yi`),
+        // the even samples' spectrum is E = (Z + conj Y) / 2, the odd
+        // samples' is O = (Z - conj Y) / 2i, and X[k] = E[k] +
+        // e^{-2πik/n} O[k]. Bin 0 pairs Z[0] with itself.
+        power.clear();
+        power.resize(m, 0.0);
+        power[0] = (re[0] + im[0]) * (re[0] + im[0]);
+        for (((((p, &zr), &zi), (&yr, &yi)), &c), &s) in power[1..]
+            .iter_mut()
+            .zip(&re[1..])
+            .zip(&im[1..])
+            .zip(re[1..].iter().rev().zip(im[1..].iter().rev()))
+            .zip(&self.post_re[1..])
+            .zip(&self.post_im[1..])
+        {
+            let (even_re, even_im) = (0.5 * (zr + yr), 0.5 * (zi - yi));
+            let (odd_re, odd_im) = (0.5 * (zi + yi), 0.5 * (yr - zr));
+            let x_re = even_re + c * odd_re - s * odd_im;
+            let x_im = even_im + c * odd_im + s * odd_re;
+            *p = x_re * x_re + x_im * x_im;
+        }
+    }
+}
+
+/// One triangular mel filter: its weights over the contiguous FFT bins
+/// `start..start + weights.len()`.
+#[derive(Debug, Clone)]
+struct MelFilter {
+    start: usize,
+    weights: Vec<f32>,
+}
+
+impl MelFilter {
+    fn energy(&self, power: &[f32]) -> f32 {
+        power[self.start..self.start + self.weights.len()]
+            .iter()
+            .zip(&self.weights)
+            .map(|(&p, &w)| p * w)
+            .sum()
     }
 }
 
@@ -169,36 +358,36 @@ fn mel_to_hz(mel: f64) -> f64 {
 /// The MFCC front-end.
 ///
 /// Construction precomputes every constant of the pipeline — the
-/// pre-scaled Hamming window, the mel filterbank taps, the FFT plan
-/// (bit-reversal + full twiddle tables) and the DCT-II basis — so
-/// extraction touches no trigonometry and runs entirely in f32. Paired
-/// with a [`FeaturePlan`]'s scratch buffers
+/// pre-scaled Hamming window, the mel filterbank taps, the real-input FFT
+/// plan (packing order, butterfly and post-twiddle tables) and the DCT-II
+/// basis — so extraction touches no trigonometry and runs entirely in
+/// f32. Paired with a [`FeaturePlan`]'s scratch buffers
 /// ([`MfccExtractor::extract_into`]), a warm extractor processes frames
 /// with **zero** heap allocations.
 #[derive(Debug, Clone)]
 pub struct MfccExtractor {
     config: MfccConfig,
-    /// Hamming window pre-divided by the i16 full scale: one multiply
-    /// turns a raw sample into a windowed, normalized f32.
-    window: Vec<f32>,
-    filterbank: Vec<Vec<(usize, f32)>>,
-    fft: FftPlan,
-    /// DCT-II basis, row-major `n_coeffs x n_mels`.
+    fft: RealFft,
+    filterbank: Vec<MelFilter>,
+    /// DCT-II basis, row-major `n_mels x n_coeffs` (transposed, so one
+    /// log-mel value scales one contiguous row into every coefficient).
     dct: Vec<f32>,
 }
 
 impl MfccExtractor {
-    /// Builds the extractor (precomputes the Hamming window and the mel
-    /// filterbank).
+    /// Builds the extractor (precomputes the Hamming window, the FFT
+    /// tables, the mel filterbank and the DCT basis).
     ///
     /// # Panics
     ///
-    /// Panics if `frame_len` is not a power of two or `hop_len` is zero.
+    /// Panics if `frame_len` is not a power of two or is below 4, or if
+    /// `hop_len` is zero.
     pub fn new(config: MfccConfig) -> Self {
         assert!(
             config.frame_len.is_power_of_two(),
             "frame_len must be a power of two"
         );
+        assert!(config.frame_len >= 4, "frame_len must be at least 4");
         assert!(config.hop_len > 0, "hop_len must be non-zero");
         let window: Vec<f32> = (0..config.frame_len)
             .map(|i| {
@@ -225,22 +414,25 @@ impl MfccExtractor {
                 .max(centre + 1)
                 .min(n_bins - 1)
                 .max(centre + 1);
-            let mut taps = Vec::new();
-            for b in left..=right.min(n_bins - 1) {
+            // Every bin strictly between `left` and `right` has a
+            // positive weight, so the taps are contiguous.
+            let mut filter = MelFilter {
+                start: left + 1,
+                weights: Vec::new(),
+            };
+            for b in left + 1..right.min(n_bins) {
                 let w = if b <= centre {
                     (b - left) as f64 / (centre - left) as f64
                 } else {
                     (right - b) as f64 / (right - centre) as f64
                 };
-                if w > 0.0 {
-                    taps.push((b, w as f32));
-                }
+                filter.weights.push(w as f32);
             }
-            filterbank.push(taps);
+            filterbank.push(filter);
         }
-        let dct = (0..config.n_coeffs)
-            .flat_map(|c| {
-                (0..config.n_mels).map(move |m| {
+        let dct = (0..config.n_mels)
+            .flat_map(|m| {
+                (0..config.n_coeffs).map(move |c| {
                     (std::f64::consts::PI * c as f64 * (m as f64 + 0.5) / config.n_mels as f64)
                         .cos() as f32
                 })
@@ -248,9 +440,8 @@ impl MfccExtractor {
             .collect();
         MfccExtractor {
             config,
-            window,
+            fft: RealFft::new(&window),
             filterbank,
-            fft: FftPlan::new(config.frame_len),
             dct,
         }
     }
@@ -269,6 +460,12 @@ impl MfccExtractor {
         }
     }
 
+    /// Frame `f` of `samples`.
+    fn frame<'a>(&self, samples: &'a [i16], f: usize) -> &'a [i16] {
+        let start = f * self.config.hop_len;
+        &samples[start..start + self.config.frame_len]
+    }
+
     /// Per-frame RMS energy (used for voice-activity segmentation).
     pub fn frame_energies(&self, samples: &[i16]) -> Vec<f64> {
         let mut out = Vec::new();
@@ -285,17 +482,50 @@ impl MfccExtractor {
         let full_scale = i16::MAX as f64 * i16::MAX as f64;
         out.clear();
         out.extend((0..frames).map(|f| {
-            let start = f * self.config.hop_len;
-            let frame = &samples[start..start + self.config.frame_len];
+            let frame = self.frame(samples, f);
+            // A squared i16 fits an i32 exactly; the sum needs i64.
             let sum_sq: i64 = frame
                 .iter()
-                .map(|&s| {
-                    let v = i64::from(s);
-                    v * v
-                })
+                .map(|&s| i64::from(i32::from(s) * i32::from(s)))
                 .sum();
             (sum_sq as f64 / (full_scale * frame.len() as f64)).sqrt()
         }));
+    }
+
+    /// The windowed power spectrum of one frame: bins `0..frame_len / 2`,
+    /// the input of the mel filterbank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is shorter than `frame_len`.
+    pub fn power_spectrum(&self, frame: &[i16]) -> Vec<f32> {
+        let mut plan = FeaturePlan::new();
+        self.fft
+            .power_into(frame, &mut plan.fft_re, &mut plan.fft_im, &mut plan.power);
+        plan.power
+    }
+
+    /// Adds the log mel energies of `frame` into `plan.log_mel`.
+    fn accumulate_log_mel(&self, frame: &[i16], plan: &mut FeaturePlan) {
+        self.fft
+            .power_into(frame, &mut plan.fft_re, &mut plan.fft_im, &mut plan.power);
+        for (acc, filter) in plan.log_mel.iter_mut().zip(&self.filterbank) {
+            *acc += (filter.energy(&plan.power) + 1e-10).ln();
+        }
+    }
+
+    /// DCT-II of `log_mel` into `out` (`n_coeffs` values) via the
+    /// precomputed basis. Each coefficient sums over the mel channels in
+    /// order; walking the basis by channel updates every coefficient in
+    /// one pass.
+    fn dct_into(&self, log_mel: &[f32], out: &mut [f32]) {
+        out.fill(0.0);
+        let n_coeffs = self.config.n_coeffs;
+        for (&lm, basis) in log_mel.iter().zip(self.dct.chunks_exact(n_coeffs.max(1))) {
+            for (acc, &b) in out.iter_mut().zip(basis) {
+                *acc += lm * b;
+            }
+        }
     }
 
     /// Extracts MFCC features: one row per frame, `n_coeffs` columns.
@@ -315,58 +545,54 @@ impl MfccExtractor {
     /// DCT buffers are all reused.
     pub fn extract_into(&self, samples: &[i16], plan: &mut FeaturePlan) -> usize {
         let frames = self.frame_count(samples.len());
-        let n_bins = self.config.frame_len / 2;
+        let n_coeffs = self.config.n_coeffs;
         plan.mfcc.clear();
-        plan.mfcc.resize(frames * self.config.n_coeffs, 0.0);
+        plan.mfcc.resize(frames * n_coeffs, 0.0);
         for f in 0..frames {
-            let start = f * self.config.hop_len;
-            let frame = &samples[start..start + self.config.frame_len];
-            // Window + FFT (planned: no trig, no allocation). The window
-            // carries the 1/i16::MAX normalization, so this is one
-            // multiply per sample.
-            plan.fft_re.clear();
-            plan.fft_re.extend(
-                frame
-                    .iter()
-                    .zip(self.window.iter())
-                    .map(|(&s, &w)| s as f32 * w),
-            );
-            plan.fft_im.clear();
-            plan.fft_im.resize(self.config.frame_len, 0.0);
-            self.fft.run(&mut plan.fft_re, &mut plan.fft_im);
-            // Power spectrum (first half).
-            plan.power.clear();
-            plan.power.extend(
-                (0..n_bins)
-                    .map(|b| plan.fft_re[b] * plan.fft_re[b] + plan.fft_im[b] * plan.fft_im[b]),
-            );
-            // Mel filterbank energies, log compressed.
             plan.log_mel.clear();
-            plan.log_mel.extend(self.filterbank.iter().map(|taps| {
-                let e: f32 = taps.iter().map(|&(b, w)| plan.power[b] * w).sum();
-                (e + 1e-10).ln()
-            }));
-            // DCT-II to cepstral coefficients via the precomputed basis.
-            let row = &mut plan.mfcc[f * self.config.n_coeffs..(f + 1) * self.config.n_coeffs];
-            for (c, out) in row.iter_mut().enumerate() {
-                let basis = &self.dct[c * self.config.n_mels..(c + 1) * self.config.n_mels];
-                let mut acc = 0.0f32;
-                for (&lm, &b) in plan.log_mel.iter().zip(basis) {
-                    acc += lm * b;
-                }
-                *out = acc;
-            }
+            plan.log_mel.resize(self.config.n_mels, 0.0);
+            self.accumulate_log_mel(self.frame(samples, f), plan);
+            self.dct_into(
+                &plan.log_mel,
+                &mut plan.mfcc[f * n_coeffs..(f + 1) * n_coeffs],
+            );
         }
         frames
     }
 
+    /// The cepstrum of the mean log-mel spectrum over `frames` (frame
+    /// indices into `samples`), appended to `plan.cepstra` as `n_coeffs`
+    /// values — zeros when `frames` is empty. Each frame's spectrum is
+    /// computed once and the DCT runs once; since the DCT is linear, this
+    /// is the mean of the frames' MFCC vectors in real arithmetic.
+    pub(crate) fn mean_cepstrum_into(
+        &self,
+        samples: &[i16],
+        frames: impl IntoIterator<Item = usize>,
+        plan: &mut FeaturePlan,
+    ) {
+        plan.log_mel.clear();
+        plan.log_mel.resize(self.config.n_mels, 0.0);
+        let mut count = 0usize;
+        for f in frames {
+            self.accumulate_log_mel(self.frame(samples, f), plan);
+            count += 1;
+        }
+        let row = plan.cepstra.len();
+        plan.cepstra.resize(row + self.config.n_coeffs, 0.0);
+        if count > 0 {
+            for v in &mut plan.log_mel {
+                *v /= count as f32;
+            }
+            self.dct_into(&plan.log_mel, &mut plan.cepstra[row..]);
+        }
+    }
+
     /// Mean MFCC vector over all frames (zero vector if no frames).
     pub fn mean_vector(&self, samples: &[i16]) -> Vec<f32> {
-        let features = self.extract(samples);
-        if features.rows() == 0 {
-            return vec![0.0; self.config.n_coeffs];
-        }
-        features.mean_rows().data().to_vec()
+        let mut plan = FeaturePlan::new();
+        self.mean_cepstrum_into(samples, 0..self.frame_count(samples.len()), &mut plan);
+        plan.cepstra
     }
 }
 
@@ -389,17 +615,10 @@ mod tests {
         let n = 512usize;
         let rate = 16_000.0;
         let freq = 1_000.0;
-        let samples = tone(freq, n, rate, 0.9);
-        let mut re: Vec<f32> = samples
-            .iter()
-            .map(|&s| s as f32 / i16::MAX as f32)
-            .collect();
-        let mut im = vec![0.0f32; n];
-        fft_radix2(&mut re, &mut im);
-        let mags: Vec<f32> = (0..n / 2)
-            .map(|i| (re[i] * re[i] + im[i] * im[i]).sqrt())
-            .collect();
-        let peak_bin = mags
+        let ex = MfccExtractor::new(MfccConfig::speech_16khz());
+        let power = ex.power_spectrum(&tone(freq, n, rate, 0.9));
+        assert_eq!(power.len(), n / 2);
+        let peak_bin = power
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
@@ -412,35 +631,103 @@ mod tests {
         );
     }
 
-    #[test]
-    fn planned_fft_matches_an_f64_reference() {
-        // The tabulated-twiddle f32 FFT against a straightforward f64 DFT:
-        // per-bin error stays at single-precision noise level relative to
-        // the signal, across non-trivial inputs.
-        let n = 256usize;
-        let input: Vec<f64> = (0..n)
+    /// The f64 DFT of `input`: `(re, im)` per bin.
+    fn dft_f64(input: &[(f64, f64)]) -> Vec<(f64, f64)> {
+        let n = input.len();
+        // Angles repeat modulo n: one table, no trigonometry in the loop.
+        let table: Vec<(f64, f64)> = (0..n)
             .map(|i| {
-                (2.0 * std::f64::consts::PI * 13.0 * i as f64 / n as f64).sin() * 0.7
-                    + (2.0 * std::f64::consts::PI * 57.0 * i as f64 / n as f64).cos() * 0.2
+                let angle = -2.0 * std::f64::consts::PI * i as f64 / n as f64;
+                (angle.cos(), angle.sin())
             })
             .collect();
-        let mut re: Vec<f32> = input.iter().map(|&v| v as f32).collect();
-        let mut im = vec![0.0f32; n];
-        fft_radix2(&mut re, &mut im);
-        for bin in 0..n {
-            let (mut want_re, mut want_im) = (0.0f64, 0.0f64);
-            for (i, &v) in input.iter().enumerate() {
-                let angle = -2.0 * std::f64::consts::PI * (bin * i) as f64 / n as f64;
-                want_re += v * angle.cos();
-                want_im += v * angle.sin();
+        (0..n)
+            .map(|bin| {
+                input
+                    .iter()
+                    .enumerate()
+                    .fold((0.0, 0.0), |(acc_re, acc_im), (i, &(x_re, x_im))| {
+                        let (c, s) = table[bin * i % n];
+                        (acc_re + x_re * c - x_im * s, acc_im + x_re * s + x_im * c)
+                    })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn planned_fft_matches_an_f64_reference() {
+        // The tabulated-twiddle f32 FFTs against a straightforward f64
+        // DFT, at every power-of-two length up to 4096: per-bin error
+        // stays at single-precision noise level relative to the signal.
+        let signal = |n: usize, i: usize| {
+            (2.0 * std::f64::consts::PI * 13.0 * i as f64 / n as f64).sin() * 0.7
+                + (2.0 * std::f64::consts::PI * 57.0 * i as f64 / n as f64).cos() * 0.2
+                + ((i * 7919 % 61) as f64 / 61.0 - 0.5) * 0.1
+        };
+        for n in (0..=12).map(|bits| 1usize << bits) {
+            // The complex butterflies, over bit-reversed complex input.
+            let input: Vec<(f64, f64)> = (0..n)
+                .map(|i| (signal(n, i), signal(n, n - 1 - i) * 0.5))
+                .collect();
+            let rev = bit_reversal(n);
+            let mut re: Vec<f32> = rev.iter().map(|&j| input[j as usize].0 as f32).collect();
+            let mut im: Vec<f32> = rev.iter().map(|&j| input[j as usize].1 as f32).collect();
+            FftPlan::new(n).butterflies(&mut re, &mut im);
+            let tolerance = 2e-6 * n as f64;
+            for (bin, &(want_re, want_im)) in dft_f64(&input).iter().enumerate() {
+                assert!(
+                    (re[bin] as f64 - want_re).abs() < tolerance
+                        && (im[bin] as f64 - want_im).abs() < tolerance,
+                    "n {n} bin {bin}: ({}, {}) vs f64 ({want_re}, {want_im})",
+                    re[bin],
+                    im[bin]
+                );
             }
-            assert!(
-                (re[bin] as f64 - want_re).abs() < 1e-2 && (im[bin] as f64 - want_im).abs() < 1e-2,
-                "bin {bin}: ({}, {}) vs f64 ({want_re}, {want_im})",
-                re[bin],
-                im[bin]
-            );
+            // The real-input path: a unit window, i16 samples.
+            if n < 4 {
+                continue;
+            }
+            let samples: Vec<i16> = (0..n)
+                .map(|i| (signal(n, i) * 0.9 * i16::MAX as f64) as i16)
+                .collect();
+            let scaled: Vec<(f64, f64)> = samples
+                .iter()
+                .map(|&s| (s as f64 / i16::MAX as f64, 0.0))
+                .collect();
+            let fft = RealFft::new(&vec![(1.0 / i16::MAX as f64) as f32; n]);
+            let (mut re, mut im, mut power) = (Vec::new(), Vec::new(), Vec::new());
+            fft.power_into(&samples, &mut re, &mut im, &mut power);
+            let want = dft_f64(&scaled);
+            let total: f64 = want.iter().map(|&(r, i)| r * r + i * i).sum();
+            assert_eq!(power.len(), n / 2);
+            for (bin, (&got, &(want_re, want_im))) in power.iter().zip(&want).enumerate() {
+                let want = want_re * want_re + want_im * want_im;
+                assert!(
+                    (got as f64 - want).abs() <= 1e-6 * total,
+                    "real n {n} bin {bin}: {got} vs f64 {want} (total {total})"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "frame_len must be at least 4")]
+    fn frame_len_two_is_rejected() {
+        MfccExtractor::new(MfccConfig {
+            frame_len: 2,
+            hop_len: 1,
+            ..MfccConfig::speech_16khz()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "frame_len must be at least 4")]
+    fn frame_len_one_is_rejected() {
+        MfccExtractor::new(MfccConfig {
+            frame_len: 1,
+            hop_len: 1,
+            ..MfccConfig::speech_16khz()
+        });
     }
 
     #[test]

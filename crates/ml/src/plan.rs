@@ -24,13 +24,14 @@
 /// every window and frame that session processes.
 #[derive(Debug, Default, Clone)]
 pub struct FeaturePlan {
-    /// FFT real parts (frame_len).
+    /// Real parts of the packed real-input FFT (frame_len / 2).
     pub(crate) fft_re: Vec<f32>,
-    /// FFT imaginary parts (frame_len).
+    /// Imaginary parts of the packed real-input FFT (frame_len / 2).
     pub(crate) fft_im: Vec<f32>,
     /// Power spectrum (frame_len / 2).
     pub(crate) power: Vec<f32>,
-    /// Log mel filterbank energies (n_mels).
+    /// Log mel filterbank energies (n_mels): one frame's, or a speech
+    /// segment's running sum and then mean.
     pub(crate) log_mel: Vec<f32>,
     /// Per-frame RMS energies of the current window.
     pub(crate) energies: Vec<f64>,
@@ -38,8 +39,9 @@ pub struct FeaturePlan {
     pub(crate) bounds: Vec<(usize, usize)>,
     /// MFCC features, row-major `frames x n_coeffs`.
     pub(crate) mfcc: Vec<f32>,
-    /// Mean cepstral vector of the current segment.
-    pub(crate) mean: Vec<f32>,
+    /// One cepstral vector per speech segment of the current window,
+    /// row-major `segments x n_coeffs` (the STT's feature pass).
+    pub(crate) cepstra: Vec<f32>,
     /// Quantized input activations (embedding rows / feature vectors).
     pub(crate) x_q: Vec<i8>,
     /// Quantized hidden activations.
@@ -81,7 +83,7 @@ impl FeaturePlan {
             + self.energies.capacity() * 8
             + self.bounds.capacity() * 16
             + self.mfcc.capacity() * 4
-            + self.mean.capacity() * 4
+            + self.cepstra.capacity() * 4
             + self.x_q.capacity()
             + self.act_q.capacity()
             + self.act_q16.capacity() * 2

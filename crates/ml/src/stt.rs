@@ -9,9 +9,18 @@
 //! The recognizer is a template matcher: each vocabulary word has an MFCC
 //! "acoustic template" (the mean cepstral vector of its synthetic
 //! rendering); incoming audio is segmented at silences via an energy-based
-//! voice-activity detector, each segment's mean MFCC vector is compared to
-//! the templates by cosine similarity, and the best match above a
-//! confidence floor becomes the transcribed word.
+//! voice-activity detector, each segment's mean MFCC vector (computed as
+//! the DCT of its mean log-mel spectrum) is compared to the templates by
+//! cosine similarity, and the best match above a confidence floor becomes
+//! the transcribed word.
+//!
+//! Transcription runs as two passes over a [`FeaturePlan`]: a feature
+//! pass ([`KeywordStt::segment_features_with`]: segmentation and one
+//! cepstrum per segment) and a matching pass
+//! ([`KeywordStt::match_segments_with`] in f32,
+//! [`KeywordStt::match_segments_int8_with`] on the int8 kernels), so the
+//! filter TA can time them under separate spans. Every other entry point
+//! wraps these two.
 
 use serde::{Deserialize, Serialize};
 
@@ -173,7 +182,9 @@ impl KeywordStt {
         frames * (self.templates.len() * self.config.mfcc.n_coeffs) as u64
     }
 
-    /// Mean MFCC vector over the *voiced* frames only.
+    /// The template of one reference rendering: the mean cepstrum over
+    /// its *voiced* frames only (all frames if none is voiced), through
+    /// the same segment-cepstrum arithmetic recognition uses.
     ///
     /// Templates and recognition segments must be averaged the same way:
     /// a word's quiet attack/decay frames (the synthesizer's sine
@@ -182,26 +193,15 @@ impl KeywordStt {
     /// segment mean diverge for the *same* word. Gating both sides on the
     /// VAD threshold removes that train/serve mismatch.
     fn voiced_mean(extractor: &MfccExtractor, samples: &[i16], vad_threshold: f64) -> Vec<f32> {
-        let features = extractor.extract(samples);
         let energies = extractor.frame_energies(samples);
-        let n_coeffs = features.cols().max(1);
-        let mut mean = vec![0.0f32; n_coeffs];
-        let mut voiced = 0usize;
-        for (frame, &energy) in energies.iter().enumerate().take(features.rows()) {
-            if energy > vad_threshold {
-                for (acc, &v) in mean.iter_mut().zip(features.row(frame)) {
-                    *acc += v;
-                }
-                voiced += 1;
-            }
-        }
-        if voiced == 0 {
-            return extractor.mean_vector(samples);
-        }
-        for v in &mut mean {
-            *v /= voiced as f32;
-        }
-        mean
+        let any_voiced = energies.iter().any(|&e| e > vad_threshold);
+        let mut plan = FeaturePlan::new();
+        extractor.mean_cepstrum_into(
+            samples,
+            (0..energies.len()).filter(|&f| !any_voiced || energies[f] > vad_threshold),
+            &mut plan,
+        );
+        plan.cepstra
     }
 
     fn cosine(a: &[f32], b: &[f32]) -> f32 {
@@ -215,11 +215,11 @@ impl KeywordStt {
         }
     }
 
-    /// Splits the audio into speech segments using the energy-based VAD.
-    /// Returns `(start_frame, end_frame)` pairs (end exclusive).
-    pub fn segment(&self, samples: &[i16]) -> Vec<(usize, usize)> {
-        let energies = self.extractor.frame_energies(samples);
-        let mut segments = Vec::new();
+    /// The energy-based VAD: speech runs of at least
+    /// `min_segment_frames` frames above the threshold, as
+    /// `(start_frame, end_frame)` pairs (end exclusive) into `bounds`.
+    fn vad_into(&self, energies: &[f64], bounds: &mut Vec<(usize, usize)>) {
+        bounds.clear();
         let mut start: Option<usize> = None;
         for (i, &e) in energies.iter().enumerate() {
             let speech = e > self.config.vad_threshold;
@@ -227,7 +227,7 @@ impl KeywordStt {
                 (true, None) => start = Some(i),
                 (false, Some(s)) => {
                     if i - s >= self.config.min_segment_frames {
-                        segments.push((s, i));
+                        bounds.push((s, i));
                     }
                     start = None;
                 }
@@ -236,121 +236,71 @@ impl KeywordStt {
         }
         if let Some(s) = start {
             if energies.len() - s >= self.config.min_segment_frames {
-                segments.push((s, energies.len()));
+                bounds.push((s, energies.len()));
             }
-        }
-        segments
-    }
-
-    /// Transcribes an utterance.
-    pub fn transcribe(&self, samples: &[i16]) -> Transcript {
-        let segments = self.segment(samples);
-        let mut words = Vec::new();
-        let mut confidences = Vec::new();
-        for &(start_frame, end_frame) in &segments {
-            let start = start_frame * self.config.mfcc.hop_len;
-            let end = (end_frame * self.config.mfcc.hop_len + self.config.mfcc.frame_len)
-                .min(samples.len());
-            if end <= start {
-                continue;
-            }
-            let vector = Self::voiced_mean(
-                &self.extractor,
-                &samples[start..end],
-                self.config.vad_threshold,
-            );
-            let best = self
-                .templates
-                .iter()
-                .map(|(word, template)| (word, Self::cosine(&vector, template)))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            if let Some((word, similarity)) = best {
-                if similarity >= self.config.confidence_floor {
-                    words.push(word.clone());
-                    confidences.push(similarity);
-                }
-            }
-        }
-        Transcript {
-            words,
-            confidences,
-            segments: segments.len(),
         }
     }
 
-    /// Transcribes and maps the words to token ids (unknown words are
-    /// dropped, which cannot happen for words recognized from the
-    /// vocabulary's own templates).
-    pub fn transcribe_to_tokens(&self, samples: &[i16]) -> Vec<usize> {
-        self.transcribe(samples)
-            .words
-            .iter()
-            .filter_map(|w| self.token_of(w))
-            .collect()
+    /// Splits the audio into speech segments using the energy-based VAD.
+    /// Returns `(start_frame, end_frame)` pairs (end exclusive).
+    pub fn segment(&self, samples: &[i16]) -> Vec<(usize, usize)> {
+        let mut bounds = Vec::new();
+        self.vad_into(&self.extractor.frame_energies(samples), &mut bounds);
+        bounds
     }
 
-    /// [`KeywordStt::voiced_mean`] into the plan's scratch buffers — the
-    /// identical arithmetic, with the MFCC features, frame energies and
-    /// the mean vector all reused across calls. The result lives in
-    /// `plan.mean` afterwards.
-    fn voiced_mean_with(&self, samples: &[i16], plan: &mut FeaturePlan) {
-        let frames = self.extractor.extract_into(samples, plan);
-        let n_coeffs = self.config.mfcc.n_coeffs.max(1);
+    /// The feature pass of transcription: VAD segmentation of the window
+    /// and one cepstral vector per speech segment, both left in the plan
+    /// for [`KeywordStt::match_segments_with`] or
+    /// [`KeywordStt::match_segments_int8_with`]. Returns the segment
+    /// count.
+    ///
+    /// Segment starts fall on the hop grid, so segment `s..e` consists
+    /// exactly of the window's frames `s..e`, all of them voiced: each
+    /// frame's log-mel spectrum is computed once, straight from the
+    /// window, and the DCT runs once per segment on the mean log-mel.
+    pub fn segment_features_with(&self, samples: &[i16], plan: &mut FeaturePlan) -> usize {
         self.extractor
             .frame_energies_into(samples, &mut plan.energies);
-        plan.mean.clear();
-        plan.mean.resize(n_coeffs, 0.0);
-        let mut voiced = 0usize;
-        for frame in 0..frames.min(plan.energies.len()) {
-            if plan.energies[frame] > self.config.vad_threshold {
-                let row = &plan.mfcc[frame * n_coeffs..(frame + 1) * n_coeffs];
-                for (acc, &v) in plan.mean.iter_mut().zip(row) {
-                    *acc += v;
-                }
-                voiced += 1;
-            }
+        self.vad_into(&plan.energies, &mut plan.bounds);
+        plan.cepstra.clear();
+        for segment in 0..plan.bounds.len() {
+            let (start, end) = plan.bounds[segment];
+            self.extractor.mean_cepstrum_into(samples, start..end, plan);
         }
-        if voiced == 0 {
-            // The fallback of the allocating path: the plain mean over all
-            // frames (zero vector when there are none).
-            if frames > 0 {
-                for frame in 0..frames {
-                    let row = &plan.mfcc[frame * n_coeffs..(frame + 1) * n_coeffs];
-                    for (acc, &v) in plan.mean.iter_mut().zip(row) {
-                        *acc += v;
-                    }
-                }
-                for v in &mut plan.mean {
-                    *v /= frames as f32;
-                }
-            }
-            return;
-        }
-        for v in &mut plan.mean {
-            *v /= voiced as f32;
-        }
+        plan.bounds.len()
     }
 
-    /// Best (token, similarity) for the segment mean in `plan.mean`,
-    /// matched in f32 (the baseline arithmetic).
-    fn match_segment_f32(&self, plan: &FeaturePlan) -> Option<(usize, f32)> {
-        self.templates
-            .iter()
-            .enumerate()
-            .map(|(token, (_, template))| (token, Self::cosine(&plan.mean, template)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    /// Best (token, similarity) for the segment mean in `plan.mean`,
-    /// matched on the integer kernels: the mean is quantized once into
+    /// Best (token, similarity) for one segment of the last feature pass,
+    /// matched in f32 (the baseline arithmetic) or on the integer kernels.
+    ///
+    /// The int8 matcher quantizes the segment cepstrum once into
     /// `plan.mean_q`, and every template comparison is one [`dot_i8`]
     /// against the precomputed quantized templates. The quantization
     /// scales cancel out of the cosine, so only int8 rounding separates
-    /// this from [`KeywordStt::match_segment_f32`] — and the synthetic
-    /// vocabulary's similarity margins dwarf that rounding (pinned by the
-    /// decision-parity proptest).
-    fn match_segment_int8(&self, plan: &mut FeaturePlan) -> Option<(usize, f32)> {
-        quantize_activations(&plan.mean, &mut plan.mean_q);
+    /// the two matchers — and the synthetic vocabulary's similarity
+    /// margins dwarf that rounding (pinned by the decision-parity
+    /// proptest).
+    fn best_match(
+        &self,
+        plan: &mut FeaturePlan,
+        segment: usize,
+        int8: bool,
+    ) -> Option<(usize, f32)> {
+        let n_coeffs = self.config.mfcc.n_coeffs;
+        let cepstrum = &plan.cepstra[segment * n_coeffs..(segment + 1) * n_coeffs];
+        let by_similarity = |a: &(usize, f32), b: &(usize, f32)| {
+            a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
+        };
+        if !int8 {
+            return self
+                .templates
+                .iter()
+                .enumerate()
+                .map(|(token, (_, template))| (token, Self::cosine(cepstrum, template)))
+                .max_by(by_similarity);
+        }
+        quantize_activations(cepstrum, &mut plan.mean_q);
         let norm_mean = (dot_i8(&plan.mean_q, &plan.mean_q) as f32).sqrt();
         self.templates_q
             .iter()
@@ -364,84 +314,84 @@ impl KeywordStt {
                 };
                 (token, similarity)
             })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(by_similarity)
+    }
+
+    /// (token, similarity) of each segment of the last feature pass whose
+    /// best template clears the confidence floor. The winning template's
+    /// index *is* the token id.
+    fn accepted_matches<'a>(
+        &'a self,
+        plan: &'a mut FeaturePlan,
+        int8: bool,
+    ) -> impl Iterator<Item = (usize, f32)> + 'a {
+        (0..plan.bounds.len())
+            .filter_map(move |segment| self.best_match(plan, segment, int8))
+            .filter(|&(_, similarity)| similarity >= self.config.confidence_floor)
+    }
+
+    /// The matching pass. No word strings materialize; the returned token
+    /// list is the one per-window allocation (it outlives the plan's
+    /// scratch in the TA's policy stage).
+    fn match_tokens(&self, plan: &mut FeaturePlan, int8: bool) -> Vec<usize> {
+        self.accepted_matches(plan, int8)
+            .map(|(token, _)| token)
+            .collect()
+    }
+
+    /// The matching pass in f32, over the segments that
+    /// [`KeywordStt::segment_features_with`] left in `plan`.
+    pub fn match_segments_with(&self, plan: &mut FeaturePlan) -> Vec<usize> {
+        self.match_tokens(plan, false)
+    }
+
+    /// The matching pass on the int8 kernels, over the segments that
+    /// [`KeywordStt::segment_features_with`] left in `plan`.
+    pub fn match_segments_int8_with(&self, plan: &mut FeaturePlan) -> Vec<usize> {
+        self.match_tokens(plan, true)
+    }
+
+    /// Transcribes an utterance.
+    pub fn transcribe(&self, samples: &[i16]) -> Transcript {
+        let mut plan = FeaturePlan::new();
+        let segments = self.segment_features_with(samples, &mut plan);
+        let (words, confidences) = self
+            .accepted_matches(&mut plan, false)
+            .map(|(token, similarity)| (self.templates[token].0.clone(), similarity))
+            .unzip();
+        Transcript {
+            words,
+            confidences,
+            segments,
+        }
+    }
+
+    /// Transcribes and maps the words to token ids.
+    pub fn transcribe_to_tokens(&self, samples: &[i16]) -> Vec<usize> {
+        self.transcribe_to_tokens_with(samples, &mut FeaturePlan::new())
     }
 
     /// [`KeywordStt::transcribe_to_tokens`] over a caller-owned
-    /// [`FeaturePlan`]: the same segmentation, template matching and tie
-    /// handling, with the MFCC, energy, segment-bound and mean buffers
-    /// all coming from the plan, and no word strings materialized — the
-    /// winning template's index *is* the token id. The returned token
-    /// list is the one remaining per-window allocation (it outlives the
-    /// plan's scratch in the TA's policy stage). This is the path the
-    /// filter TA drives once per capture window in f32 mode.
+    /// [`FeaturePlan`]: the feature pass
+    /// ([`KeywordStt::segment_features_with`]) then the f32 matching pass,
+    /// with every buffer coming from the plan.
     pub fn transcribe_to_tokens_with(&self, samples: &[i16], plan: &mut FeaturePlan) -> Vec<usize> {
-        self.tokens_with_impl(samples, plan, false)
+        self.segment_features_with(samples, plan);
+        self.match_segments_with(plan)
     }
 
     /// [`KeywordStt::transcribe_to_tokens_with`] with the template
-    /// matching on the int8 kernels (`KeywordStt::match_segment_int8`)
-    /// — the filter TA's hot path in int8 mode. Segmentation and the
-    /// MFCC front end are shared with the f32 path; only the final
-    /// template comparison runs on quantized vectors.
+    /// matching on the int8 kernels — the filter TA's hot path in int8
+    /// mode. Segmentation and the MFCC front end are shared with the f32
+    /// path; only the final template comparison runs on quantized
+    /// vectors.
     pub fn transcribe_to_tokens_int8_with(
         &self,
         samples: &[i16],
         plan: &mut FeaturePlan,
     ) -> Vec<usize> {
-        self.tokens_with_impl(samples, plan, true)
-    }
-
-    fn tokens_with_impl(&self, samples: &[i16], plan: &mut FeaturePlan, int8: bool) -> Vec<usize> {
-        self.extractor
-            .frame_energies_into(samples, &mut plan.energies);
-        // Inline segmentation over the scratch energies (the same state
-        // machine as `segment`).
-        let mut tokens = Vec::new();
-        let mut start: Option<usize> = None;
-        plan.bounds.clear();
-        for (i, &e) in plan.energies.iter().enumerate() {
-            let speech = e > self.config.vad_threshold;
-            match (speech, start) {
-                (true, None) => start = Some(i),
-                (false, Some(s)) => {
-                    if i - s >= self.config.min_segment_frames {
-                        plan.bounds.push((s, i));
-                    }
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            if plan.energies.len() - s >= self.config.min_segment_frames {
-                plan.bounds.push((s, plan.energies.len()));
-            }
-        }
-        let bounds = std::mem::take(&mut plan.bounds);
-        for &(start_frame, end_frame) in &bounds {
-            let seg_start = start_frame * self.config.mfcc.hop_len;
-            let seg_end = (end_frame * self.config.mfcc.hop_len + self.config.mfcc.frame_len)
-                .min(samples.len());
-            if seg_end <= seg_start {
-                continue;
-            }
-            self.voiced_mean_with(&samples[seg_start..seg_end], plan);
-            let best = if int8 {
-                self.match_segment_int8(plan)
-            } else {
-                self.match_segment_f32(plan)
-            };
-            if let Some((token, similarity)) = best {
-                if similarity >= self.config.confidence_floor {
-                    tokens.push(token);
-                }
-            }
-        }
-        // Hand the bounds buffer (taken above so `voiced_mean_with` can
-        // borrow the plan mutably) back to the plan for the next window.
-        plan.bounds = bounds;
-        tokens
+        self.segment_features_with(samples, plan);
+        self.match_segments_int8_with(plan)
     }
 }
 
