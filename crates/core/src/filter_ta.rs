@@ -180,6 +180,8 @@ pub struct FilterTa {
     channel: TaCloudChannel,
     stats: FilterStats,
     encoding: AudioEncoding,
+    /// PCM of the window being filtered, reused across windows.
+    pcm: Vec<i16>,
 }
 
 impl std::fmt::Debug for FilterTa {
@@ -224,6 +226,7 @@ impl FilterTa {
             channel: TaCloudChannel::new(cloud_host, psk),
             stats: FilterStats::default(),
             encoding,
+            pcm: Vec::new(),
         }
     }
 
@@ -268,9 +271,13 @@ impl FilterTa {
     ) -> TeeResult<(Vec<usize>, f32, u64)> {
         let tracer = env.tracer();
         let ml_start = env.platform().clock().now();
-        let format = perisec_devices::audio::AudioFormat::speech_16khz_mono();
-        let audio = self.encoding.decode(encoded_audio, format);
-        let samples_len = audio.samples().len();
+        {
+            // Host work only: decoding charges no virtual time.
+            let _decode = tracer.span("ta.decode");
+            self.pcm.clear();
+            self.encoding.decode_into(encoded_audio, &mut self.pcm);
+        }
+        let samples_len = self.pcm.len();
         // The STT charge is split by stage so each span covers its own
         // share of the virtual time and the host work of that stage; the
         // split is unconditional, so the charged total — and the report —
@@ -280,7 +287,7 @@ impl FilterTa {
             env.charge_compute(self.models.stt.mfcc_flops_for(samples_len));
             self.models
                 .stt
-                .segment_features_with(audio.samples(), &mut self.plan);
+                .segment_features_with(&self.pcm, &mut self.plan);
         }
         // Both modes share segmentation and the f32 MFCC front end; in
         // int8 mode the template matching runs on the quantized kernels
@@ -445,11 +452,14 @@ impl FilterTa {
             perisec_secure_driver::pta::cmd::CAPTURE_BATCH,
             &mut capture,
         )?;
-        let replies = perisec_secure_driver::pta::decode_windows_reply(
-            capture.get(1).as_memref().ok_or(TeeError::Communication {
-                reason: "pta returned no batched audio".to_owned(),
-            })?,
-        )?;
+        let replies = {
+            let _decode = env.tracer().span("ta.decode");
+            perisec_secure_driver::pta::decode_windows_reply(capture.get(1).as_memref().ok_or(
+                TeeError::Communication {
+                    reason: "pta returned no batched audio".to_owned(),
+                },
+            )?)?
+        };
         if replies.len() != windows.len() {
             return Err(TeeError::Communication {
                 reason: format!(
@@ -467,7 +477,7 @@ impl FilterTa {
         let mut outbound = Vec::new();
         let mut ml_ns_total = 0u64;
         for (&(dialog_id, _), reply) in windows.iter().zip(&replies) {
-            let (tokens, probability, ml_ns) = self.run_ml(env, &reply.encoded)?;
+            let (tokens, probability, ml_ns) = self.run_ml(env, reply.encoded)?;
             ml_ns_total += ml_ns;
             let (decision, event) = self.decide(dialog_id, &tokens, probability);
             verdicts.push((decision, (probability * 1000.0) as u16));

@@ -4,8 +4,8 @@
 //! the outside world into those sensors from outside the TEE simulation:
 //!
 //! * [`SharedPlayback`] is a [`SignalSource`] backed by a sample queue the
-//!   runner refills between utterances; the microphone drains it sample by
-//!   sample and reads silence when it is empty.
+//!   runner refills between utterances; the microphone drains it a FIFO
+//!   transfer at a time and reads silence when it is empty.
 //! * [`SharedSceneQueue`] is its camera counterpart: a [`SceneSource`]
 //!   backed by a scene queue; the camera sensor pops one scene per frame
 //!   and sees an empty room when the queue runs dry.
@@ -32,7 +32,7 @@ impl SharedPlayback {
 
     /// Appends samples to be played next.
     pub fn push(&self, samples: &[i16]) {
-        self.queue.lock().extend(samples.iter().copied());
+        self.queue.lock().extend(samples);
     }
 
     /// Appends samples padded with trailing silence up to `total_samples`.
@@ -43,10 +43,9 @@ impl SharedPlayback {
     /// the queue between utterances).
     pub fn push_padded(&self, samples: &[i16], total_samples: usize) {
         let mut queue = self.queue.lock();
-        queue.extend(samples.iter().copied());
-        for _ in samples.len()..total_samples {
-            queue.push_back(0);
-        }
+        queue.extend(samples);
+        let padded = queue.len() + total_samples.saturating_sub(samples.len());
+        queue.resize(padded, 0);
     }
 
     /// Number of queued samples not yet consumed.
@@ -73,11 +72,20 @@ struct SharedPlaybackSource {
 
 impl SignalSource for SharedPlaybackSource {
     fn next_samples(&mut self, count: usize) -> Vec<i16> {
-        let mut queue = self.queue.lock();
-        let n = count.min(queue.len());
-        let mut out: Vec<i16> = queue.drain(..n).collect();
-        out.resize(count, 0);
+        let mut out = vec![0; count];
+        self.fill(&mut out);
         out
+    }
+
+    fn fill(&mut self, out: &mut [i16]) {
+        let mut queue = self.queue.lock();
+        let n = out.len().min(queue.len());
+        let (front, back) = queue.as_slices();
+        let from_front = n.min(front.len());
+        out[..from_front].copy_from_slice(&front[..from_front]);
+        out[from_front..n].copy_from_slice(&back[..n - from_front]);
+        queue.drain(..n);
+        out[n..].fill(0);
     }
 
     fn describe(&self) -> String {
@@ -166,6 +174,35 @@ mod tests {
         scenes.clear();
         assert_eq!(source.next_scene(), SceneKind::EmptyRoom);
         assert!(source.describe().contains("scene queue"));
+    }
+
+    #[test]
+    fn fill_reads_across_the_ring_seam() {
+        let playback = SharedPlayback::new();
+        let mut source = playback.source();
+        // Push and partly read until the queue's contents wrap the ring.
+        let mut next = 0i16;
+        let mut expected = VecDeque::new();
+        for _ in 0..64 {
+            let chunk: Vec<i16> = (next..next + 5).collect();
+            next += 5;
+            playback.push_padded(&chunk, 7);
+            expected.extend(chunk.iter().copied().chain([0, 0]));
+            let mut out = [i16::MIN; 6];
+            source.fill(&mut out);
+            let want: Vec<i16> = expected.drain(..6).collect();
+            assert_eq!(out.as_slice(), want.as_slice());
+            let wrapped = !playback.queue.lock().as_slices().1.is_empty();
+            if wrapped {
+                let mut out = vec![i16::MIN; expected.len() + 3];
+                source.fill(&mut out);
+                let mut want: Vec<i16> = expected.drain(..).collect();
+                want.extend([0, 0, 0]);
+                assert_eq!(out, want);
+                return;
+            }
+        }
+        panic!("the queue never wrapped");
     }
 
     #[test]

@@ -13,9 +13,9 @@ const MU_LAW_CLIP: i32 = 32_635;
 
 /// Encodes interleaved PCM samples as little-endian bytes.
 pub fn pcm_to_bytes(samples: &[i16]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(samples.len() * 2);
-    for &s in samples {
-        out.extend_from_slice(&s.to_le_bytes());
+    let mut out = vec![0u8; samples.len() * 2];
+    for (word, s) in out.chunks_exact_mut(2).zip(samples) {
+        word.copy_from_slice(&s.to_le_bytes());
     }
     out
 }
@@ -23,10 +23,9 @@ pub fn pcm_to_bytes(samples: &[i16]) -> Vec<u8> {
 /// Decodes little-endian bytes back into PCM samples (odd trailing byte is
 /// ignored).
 pub fn bytes_to_pcm(bytes: &[u8]) -> Vec<i16> {
-    bytes
-        .chunks_exact(2)
-        .map(|c| i16::from_le_bytes([c[0], c[1]]))
-        .collect()
+    let mut out = Vec::with_capacity(bytes.len() / 2);
+    AudioEncoding::PcmLe16.decode_into(bytes, &mut out);
+    out
 }
 
 /// Compresses one PCM sample to 8-bit µ-law.
@@ -106,11 +105,23 @@ impl AudioEncoding {
     /// Decodes a byte stream produced by [`AudioEncoding::encode`] back into
     /// an audio buffer of the given format.
     pub fn decode(self, bytes: &[u8], format: AudioFormat) -> AudioBuffer {
-        let samples = match self {
-            AudioEncoding::PcmLe16 => bytes_to_pcm(bytes),
-            AudioEncoding::MuLaw => mulaw_decode(bytes),
-        };
+        let mut samples = Vec::new();
+        self.decode_into(bytes, &mut samples);
         AudioBuffer::new(format, samples)
+    }
+
+    /// Decodes a byte stream produced by [`AudioEncoding::encode`],
+    /// appending the samples to `out` (an odd trailing PCM byte is
+    /// ignored).
+    pub fn decode_into(self, bytes: &[u8], out: &mut Vec<i16>) {
+        match self {
+            AudioEncoding::PcmLe16 => out.extend(
+                bytes
+                    .chunks_exact(2)
+                    .map(|c| i16::from_le_bytes([c[0], c[1]])),
+            ),
+            AudioEncoding::MuLaw => out.extend(bytes.iter().map(|&b| mulaw_decode_sample(b))),
+        }
     }
 }
 
@@ -123,6 +134,25 @@ mod tests {
     fn pcm_bytes_round_trip() {
         let samples = vec![0i16, 1, -1, i16::MAX, i16::MIN, -12345];
         assert_eq!(bytes_to_pcm(&pcm_to_bytes(&samples)), samples);
+    }
+
+    #[test]
+    fn bytes_to_pcm_ignores_trailing_odd_byte() {
+        assert_eq!(bytes_to_pcm(&[0x01, 0x00, 0xFF]), vec![1]);
+        assert!(bytes_to_pcm(&[]).is_empty());
+    }
+
+    #[test]
+    fn decode_into_appends_what_decode_returns() {
+        let format = AudioFormat::speech_16khz_mono();
+        let audio = AudioBuffer::new(format, vec![7, -300, i16::MIN, i16::MAX, 0]);
+        for encoding in [AudioEncoding::PcmLe16, AudioEncoding::MuLaw] {
+            let encoded = encoding.encode(&audio);
+            let mut out = vec![42];
+            encoding.decode_into(&encoded, &mut out);
+            assert_eq!(out[0], 42);
+            assert_eq!(&out[1..], encoding.decode(&encoded, format).samples());
+        }
     }
 
     #[test]

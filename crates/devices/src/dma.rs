@@ -100,10 +100,8 @@ impl DmaChannel {
                 available: dst.len(),
             });
         }
-        for (i, &s) in samples.iter().enumerate() {
-            let le = s.to_le_bytes();
-            dst[2 * i] = le[0];
-            dst[2 * i + 1] = le[1];
+        for (word, s) in dst[..required].chunks_exact_mut(2).zip(samples) {
+            word.copy_from_slice(&s.to_le_bytes());
         }
         let bus_time = self.bus_time_for(required);
         self.transfers += 1;
@@ -132,18 +130,10 @@ impl Default for DmaChannel {
     }
 }
 
-/// Decodes a little-endian byte buffer produced by [`DmaChannel::transfer`]
-/// back into samples. Odd trailing bytes are ignored.
-pub fn bytes_to_samples(bytes: &[u8]) -> Vec<i16> {
-    bytes
-        .chunks_exact(2)
-        .map(|c| i16::from_le_bytes([c[0], c[1]]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::bytes_to_pcm;
 
     #[test]
     fn transfer_round_trips_samples() {
@@ -152,7 +142,7 @@ mod tests {
         let mut dst = vec![0u8; samples.len() * 2];
         let t = dma.transfer(&samples, &mut dst).unwrap();
         assert_eq!(t.bytes, 12);
-        assert_eq!(bytes_to_samples(&dst), samples);
+        assert_eq!(bytes_to_pcm(&dst), samples);
         assert_eq!(dma.transfer_count(), 1);
         assert_eq!(dma.bytes_moved(), 12);
     }
@@ -186,11 +176,5 @@ mod tests {
         // 1 MiB at 1 MiB/s takes one second.
         let one_mib = dma.bus_time_for(1024 * 1024);
         assert_eq!(one_mib, SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn bytes_to_samples_ignores_trailing_odd_byte() {
-        assert_eq!(bytes_to_samples(&[0x01, 0x00, 0xFF]), vec![1]);
-        assert!(bytes_to_samples(&[]).is_empty());
     }
 }

@@ -157,23 +157,33 @@ impl I2sController {
         if !self.enabled {
             return 0;
         }
-        let mut accepted = 0;
-        for &s in samples {
-            if self.fifo.len() < self.config.fifo_depth {
-                self.fifo.push_back(s);
-                accepted += 1;
-            } else {
-                self.overrun_samples += 1;
-            }
-        }
+        // Nothing drains during a receive, so the FIFO takes the first
+        // `free` samples and drops the rest.
+        let free = self.config.fifo_depth.saturating_sub(self.fifo.len());
+        let accepted = samples.len().min(free);
+        self.fifo.extend(&samples[..accepted]);
+        self.overrun_samples += (samples.len() - accepted) as u64;
         self.received_samples += accepted as u64;
         accepted
     }
 
     /// Drains up to `max` samples from the FIFO (oldest first).
     pub fn drain(&mut self, max: usize) -> Vec<i16> {
+        let mut out = Vec::with_capacity(max.min(self.fifo.len()));
+        self.drain_into(max, &mut out);
+        out
+    }
+
+    /// Drains up to `max` samples from the FIFO (oldest first), appending
+    /// them to `out`. Returns the number of samples drained.
+    pub fn drain_into(&mut self, max: usize, out: &mut Vec<i16>) -> usize {
         let n = max.min(self.fifo.len());
-        self.fifo.drain(..n).collect()
+        let (front, back) = self.fifo.as_slices();
+        let from_front = n.min(front.len());
+        out.extend_from_slice(&front[..from_front]);
+        out.extend_from_slice(&back[..n - from_front]);
+        self.fifo.drain(..n);
+        n
     }
 
     /// Number of samples currently waiting in the FIFO.
@@ -204,6 +214,8 @@ pub struct I2sBus {
     config: I2sConfig,
     source: Box<dyn SignalSource>,
     controller: I2sController,
+    /// The words of the transfer in flight, reused across transfers.
+    scratch: Vec<i16>,
 }
 
 impl std::fmt::Debug for I2sBus {
@@ -228,6 +240,7 @@ impl I2sBus {
             config,
             source,
             controller,
+            scratch: Vec::new(),
         })
     }
 
@@ -260,8 +273,9 @@ impl I2sBus {
             return SimDuration::ZERO;
         }
         let samples = frames * self.config.format.channels as usize;
-        let produced = self.source.next_samples(samples);
-        self.controller.receive(&produced);
+        self.scratch.resize(samples, 0);
+        self.source.fill(&mut self.scratch);
+        self.controller.receive(&self.scratch);
         self.config.format.duration_of_frames(frames)
     }
 }
@@ -314,6 +328,25 @@ mod tests {
         assert_eq!(accepted, 4);
         assert_eq!(ctrl.overrun_samples(), 2);
         assert_eq!(ctrl.drain(10), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn drain_into_reads_across_the_ring_seam() {
+        let config = I2sConfig {
+            fifo_depth: 8,
+            ..I2sConfig::microphone_default()
+        };
+        let mut ctrl = I2sController::new(config).unwrap();
+        ctrl.enable();
+        assert_eq!(ctrl.receive(&[1, 2, 3, 4, 5, 6]), 6);
+        assert_eq!(ctrl.drain(4), vec![1, 2, 3, 4]);
+        assert_eq!(ctrl.receive(&[7, 8, 9, 10, 11, 12, 13]), 6);
+        assert_eq!(ctrl.overrun_samples(), 1);
+        assert!(!ctrl.fifo.as_slices().1.is_empty(), "the FIFO wraps");
+        let mut out = vec![0];
+        assert_eq!(ctrl.drain_into(7, &mut out), 7);
+        assert_eq!(out, vec![0, 5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(ctrl.drain(8), vec![12]);
     }
 
     #[test]

@@ -172,28 +172,40 @@ impl Microphone {
     /// Returns [`DeviceError::InvalidState`] if the microphone is not
     /// capturing.
     pub fn capture(&mut self, frames: usize) -> Result<(AudioBuffer, SimDuration)> {
+        let format = self.format();
+        let mut samples = Vec::new();
+        let elapsed = self.capture_into(frames, &mut samples)?;
+        Ok((AudioBuffer::new(format, samples), elapsed))
+    }
+
+    /// Like [`Microphone::capture`], but appends the interleaved samples to
+    /// `out` instead of returning a new buffer; returns the bus time.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Microphone::capture`].
+    pub fn capture_into(&mut self, frames: usize, out: &mut Vec<i16>) -> Result<SimDuration> {
         if self.state != MicState::Capturing {
             return Err(DeviceError::InvalidState {
                 operation: "capture".to_owned(),
                 state: self.state.to_string(),
             });
         }
-        let format = self.format();
-        let chunk_frames = self.bus.config().fifo_depth / format.channels as usize;
-        let mut samples: Vec<i16> = Vec::with_capacity(frames * format.channels as usize);
+        let channels = self.format().channels as usize;
+        let chunk_frames = (self.bus.config().fifo_depth / channels).max(1);
+        out.reserve(frames * channels);
         let mut elapsed = SimDuration::ZERO;
         let mut remaining = frames;
         while remaining > 0 {
-            let n = remaining.min(chunk_frames.max(1));
+            let n = remaining.min(chunk_frames);
             elapsed += self.bus.transfer_frames(n);
-            let drained = self.bus.controller().drain(n * format.channels as usize);
-            samples.extend_from_slice(&drained);
+            self.bus.controller().drain_into(n * channels, out);
             remaining -= n;
         }
         self.stats.frames_captured += frames as u64;
         self.stats.chunks += 1;
         self.stats.overrun_samples = self.bus.controller_ref().overrun_samples();
-        Ok((AudioBuffer::new(format, samples), elapsed))
+        Ok(elapsed)
     }
 
     /// Captures `duration` worth of audio.

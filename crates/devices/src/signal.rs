@@ -17,6 +17,14 @@ pub trait SignalSource: Send {
     /// Produces the next `count` samples.
     fn next_samples(&mut self, count: usize) -> Vec<i16>;
 
+    /// Overwrites `out` with the next `out.len()` samples: the same
+    /// samples [`SignalSource::next_samples`] would return, without the
+    /// allocation when a source overrides it. The default delegates to
+    /// `next_samples`.
+    fn fill(&mut self, out: &mut [i16]) {
+        out.copy_from_slice(&self.next_samples(out.len()));
+    }
+
     /// A short human-readable description of the source.
     fn describe(&self) -> String {
         "signal source".to_owned()

@@ -270,29 +270,39 @@ impl SecureI2sDriver {
     ///
     /// # Errors
     ///
-    /// Returns [`TeeError::BadParameters`] if the stream is not running, or
-    /// a wrapped device error.
+    /// Returns [`TeeError::BadParameters`] if the stream is not running or
+    /// the window's sample count overflows, [`TeeError::OutOfMemory`] if
+    /// the window exceeds the secure carve-out or cannot be reserved, or a
+    /// wrapped device error.
     pub fn capture_periods(&mut self, periods: usize) -> TeeResult<(Vec<u8>, SecureCaptureReport)> {
         if self.state != SecureDriverState::Running {
             return Err(TeeError::BadParameters {
                 reason: format!("capture requested while driver is {}", self.state),
             });
         }
-        let format = self.format();
+        let samples = self.window_samples(periods)?;
+        let mut window = Vec::new();
+        window
+            .try_reserve(samples)
+            .map_err(|_| TeeError::OutOfMemory {
+                requested: samples * 2,
+            })?;
         let mut report = SecureCaptureReport {
             periods,
             ..SecureCaptureReport::default()
         };
-        let mut audio = AudioBuffer::silence(format, 0);
         let cpu_before = self.platform.clock().now();
         for _ in 0..periods {
-            // 1. One period arrives over the wire.
-            let (chunk, wire) =
-                self.mic
-                    .capture(self.period_frames)
-                    .map_err(|e| TeeError::Generic {
-                        reason: e.to_string(),
-                    })?;
+            // 1. One period arrives over the wire, straight onto the end of
+            //    the window.
+            let start = window.len();
+            let wire = self
+                .mic
+                .capture_into(self.period_frames, &mut window)
+                .map_err(|e| TeeError::Generic {
+                    reason: e.to_string(),
+                })?;
+            let period = &window[start..];
             report.wire_time += wire;
             self.platform
                 .record_device_busy(Component::Microphone, wire);
@@ -304,12 +314,12 @@ impl SecureI2sDriver {
                 .io_buffer
                 .as_mut()
                 .expect("configured driver has io buffer");
-            let transfer = self
-                .dma
-                .transfer(chunk.samples(), io.as_mut_slice())
-                .map_err(|e| TeeError::Generic {
-                    reason: e.to_string(),
-                })?;
+            let transfer =
+                self.dma
+                    .transfer(period, io.as_mut_slice())
+                    .map_err(|e| TeeError::Generic {
+                        reason: e.to_string(),
+                    })?;
             self.platform
                 .record_device_busy(Component::DmaEngine, transfer.bus_time);
 
@@ -323,11 +333,11 @@ impl SecureI2sDriver {
 
             // 4. The driver "securely processes (e.g., encoding an audio
             //    signal)" the period: charged as secure compute over the
-            //    period bytes.
-            let encode_flops = (chunk.byte_len() as u64) / 2;
+            //    period bytes (one operation per 16-bit sample).
+            let encode_flops = period.len() as u64;
             self.platform.charge_compute(World::Secure, encode_flops);
-            audio.append(&chunk);
         }
+        let audio = AudioBuffer::new(self.format(), window);
         let encoded = self.encoding.encode(&audio);
         report.encoded_bytes = encoded.len();
         report.cpu_time = self.platform.clock().elapsed_since(cpu_before);
@@ -337,6 +347,24 @@ impl SecureI2sDriver {
         self.stats.secure_irqs += report.secure_irqs;
         self.stats.bytes_delivered += encoded.len() as u64;
         Ok((encoded, report))
+    }
+
+    /// Samples in a window of `periods` periods. The count comes from the
+    /// normal world, so it is checked before anything is reserved: a count
+    /// that overflows is [`TeeError::BadParameters`], and a window larger
+    /// than the whole secure carve-out, which must buffer it before it is
+    /// encoded, is [`TeeError::OutOfMemory`].
+    fn window_samples(&self, periods: usize) -> TeeResult<usize> {
+        let period_bytes = self.period_frames * self.format().bytes_per_frame();
+        let bytes = periods
+            .checked_mul(period_bytes)
+            .ok_or_else(|| TeeError::BadParameters {
+                reason: format!("a window of {periods} periods overflows the sample count"),
+            })?;
+        if bytes > self.platform.secure_ram().capacity() {
+            return Err(TeeError::OutOfMemory { requested: bytes });
+        }
+        Ok(bytes / 2)
     }
 
     /// Captures several windows back to back in one driver call — the
@@ -351,7 +379,9 @@ impl SecureI2sDriver {
     /// # Errors
     ///
     /// Same as [`SecureI2sDriver::capture_periods`]; an empty batch or a
-    /// zero-length window is rejected as [`TeeError::BadParameters`].
+    /// zero-length window is rejected as [`TeeError::BadParameters`]. Every
+    /// window's size is checked before the first one is captured, so an
+    /// oversized window fails the batch without side effects.
     pub fn capture_windows(
         &mut self,
         windows: &[usize],
@@ -365,6 +395,9 @@ impl SecureI2sDriver {
             return Err(TeeError::BadParameters {
                 reason: "capture windows must be at least one period".to_owned(),
             });
+        }
+        for &periods in windows {
+            self.window_samples(periods)?;
         }
         let mut captures = Vec::with_capacity(windows.len());
         let mut total = SecureCaptureReport::default();
@@ -476,6 +509,26 @@ mod tests {
         assert!(d.configure(320, AudioEncoding::PcmLe16).is_err());
         d.stop();
         assert!(d.configure(320, AudioEncoding::PcmLe16).is_ok());
+    }
+
+    #[test]
+    fn windows_that_overflow_or_exceed_the_carveout_are_typed_errors() {
+        let platform = Platform::jetson_agx_xavier();
+        let mut d = secure_driver(&platform);
+        d.configure(160, AudioEncoding::PcmLe16).unwrap();
+        d.start().unwrap();
+        assert!(matches!(
+            d.capture_periods(usize::MAX).unwrap_err(),
+            TeeError::BadParameters { .. }
+        ));
+        let carveout_periods = platform.secure_ram().capacity() / (160 * 2);
+        assert!(matches!(
+            d.capture_windows(&[1, carveout_periods + 1]).unwrap_err(),
+            TeeError::OutOfMemory { .. }
+        ));
+        // Nothing was captured, and the stream still serves windows.
+        assert_eq!(d.stats(), SecureDriverStats::default());
+        assert!(d.capture_periods(1).is_ok());
     }
 
     #[test]

@@ -73,7 +73,11 @@ pub fn decode_windows_request(data: &[u8]) -> TeeResult<Vec<usize>> {
 /// Encodes a batch-capture reply: per window, a `u32` length, the
 /// `(wire_ns, cpu_ns)` accounting as two `u64`s, then the encoded audio.
 pub fn encode_windows_reply(captures: &[WindowCapture]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let len = captures
+        .iter()
+        .map(|c| WINDOW_HEADER_LEN + c.encoded.len())
+        .sum();
+    let mut out = Vec::with_capacity(len);
     for capture in captures {
         out.extend_from_slice(&(capture.encoded.len() as u32).to_le_bytes());
         out.extend_from_slice(&capture.report.wire_time.as_nanos().to_le_bytes());
@@ -83,11 +87,16 @@ pub fn encode_windows_reply(captures: &[WindowCapture]) -> Vec<u8> {
     out
 }
 
-/// One decoded window of a batch-capture reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowReply {
+/// Bytes of a window's header in a batch-capture reply: the `u32` length
+/// and the two `u64` accounting fields.
+const WINDOW_HEADER_LEN: usize = 20;
+
+/// One decoded window of a batch-capture reply, borrowing its audio from
+/// the reply buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowReply<'a> {
     /// Encoded audio of the window.
-    pub encoded: Vec<u8>,
+    pub encoded: &'a [u8],
     /// Time the window's audio occupied the I2S wire, in nanoseconds.
     pub wire_ns: u64,
     /// Secure CPU time charged for the window, in nanoseconds.
@@ -99,33 +108,30 @@ pub struct WindowReply {
 /// # Errors
 ///
 /// Returns [`TeeError::Communication`] for truncated buffers.
-pub fn decode_windows_reply(data: &[u8]) -> TeeResult<Vec<WindowReply>> {
+pub fn decode_windows_reply(data: &[u8]) -> TeeResult<Vec<WindowReply<'_>>> {
     let mut out = Vec::new();
-    let mut offset = 0usize;
-    while offset < data.len() {
-        if data.len() < offset + 20 {
+    let mut rest = data;
+    while !rest.is_empty() {
+        let Some((header, body)) = rest.split_first_chunk::<WINDOW_HEADER_LEN>() else {
             return Err(TeeError::Communication {
                 reason: "batch reply header truncated".to_owned(),
             });
-        }
-        let len =
-            u32::from_le_bytes(data[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let wire_ns =
-            u64::from_le_bytes(data[offset + 4..offset + 12].try_into().expect("8 bytes"));
-        let cpu_ns =
-            u64::from_le_bytes(data[offset + 12..offset + 20].try_into().expect("8 bytes"));
-        offset += 20;
-        if data.len() < offset + len {
+        };
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let wire_ns = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+        let cpu_ns = u64::from_le_bytes(header[12..].try_into().expect("8 bytes"));
+        if body.len() < len {
             return Err(TeeError::Communication {
                 reason: "batch reply audio truncated".to_owned(),
             });
         }
+        let (encoded, tail) = body.split_at(len);
         out.push(WindowReply {
-            encoded: data[offset..offset + len].to_vec(),
+            encoded,
             wire_ns,
             cpu_ns,
         });
-        offset += len;
+        rest = tail;
     }
     Ok(out)
 }
@@ -346,6 +352,42 @@ mod tests {
         let mut p = TeeParams::new();
         core.invoke_pta(uuid, cmd::STATS, &mut p).unwrap();
         assert_eq!(p.get(1).as_values().unwrap().0, 10);
+    }
+
+    #[test]
+    fn oversized_batch_window_is_rejected_before_any_capture() {
+        let (core, uuid) = registered_pta();
+        let mut p = TeeParams::new().with(0, TeeParam::ValueInput { a: 160, b: 0 });
+        core.invoke_pta(uuid, cmd::CONFIGURE, &mut p).unwrap();
+        core.invoke_pta(uuid, cmd::START, &mut TeeParams::new())
+            .unwrap();
+
+        // The normal world names a u32::MAX-period window after a valid
+        // one: the batch fails with a typed error, nothing is captured.
+        let mut request = encode_windows_request(&[2]);
+        request.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut p = TeeParams::new().with(0, TeeParam::MemRefInput(request));
+        let err = core
+            .invoke_pta(uuid, cmd::CAPTURE_BATCH, &mut p)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TeeError::OutOfMemory { .. } | TeeError::BadParameters { .. }
+            ),
+            "{err:?}"
+        );
+        let mut p = TeeParams::new();
+        core.invoke_pta(uuid, cmd::STATS, &mut p).unwrap();
+        assert_eq!(p.get(0).as_values().unwrap(), (0, 0));
+        assert_eq!(p.get(1).as_values().unwrap(), (0, 0));
+
+        // The stream still serves a sane batch afterwards.
+        let mut p = TeeParams::new().with(0, TeeParam::MemRefInput(encode_windows_request(&[2])));
+        core.invoke_pta(uuid, cmd::CAPTURE_BATCH, &mut p).unwrap();
+        let replies = decode_windows_reply(p.get(1).as_memref().unwrap()).unwrap();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].encoded.len(), 2 * 160 * 2);
     }
 
     #[test]

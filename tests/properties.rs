@@ -4,6 +4,9 @@ use proptest::prelude::*;
 
 use std::sync::OnceLock;
 
+use perisec::core::filter_ta::{
+    decode_batch_request, decode_batch_verdicts, encode_batch_request, encode_batch_verdicts,
+};
 use perisec::core::policy::FilterDecision;
 use perisec::core::stage::WindowVerdict;
 use perisec::devices::codec::{bytes_to_pcm, mulaw_decode, mulaw_encode, pcm_to_bytes};
@@ -13,11 +16,16 @@ use perisec::ml::plan::FeaturePlan;
 use perisec::ml::vision::{FrameCnn, VisionConfig};
 use perisec::ml::SensitiveClassifier;
 use perisec::optee::crypto::{aead_open, aead_seal, nonce_from_sequence};
+use perisec::optee::TeeError;
 use perisec::relay::avs::AvsEvent;
 use perisec::relay::netsim::NetworkService;
 use perisec::relay::{MockCloudService, SecureChannelClient, PSK_LEN};
 use perisec::sched::scheduler::SessionScheduler;
 use perisec::sched::stage::merge_verdicts;
+use perisec::secure_driver::driver::{SecureCaptureReport, WindowCapture};
+use perisec::secure_driver::pta::{
+    decode_windows_reply, decode_windows_request, encode_windows_reply, encode_windows_request,
+};
 use perisec::tz::secure_mem::SecureRam;
 use perisec::tz::stats::TzStats;
 use perisec::tz::time::SimDuration;
@@ -569,5 +577,115 @@ proptest! {
         prop_assert_eq!(&lr, &forward);
         prop_assert_eq!(&rl, &forward);
         prop_assert_eq!(forward.devices, devices.len() as u64);
+    }
+}
+
+/// Builds a batch-capture reply's windows from drawn lengths and one seed.
+fn window_captures(lengths: &[usize], seed: u64) -> Vec<WindowCapture> {
+    lengths
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let salt = seed.wrapping_mul(i as u64 + 1);
+            WindowCapture {
+                encoded: (0..len).map(|j| (salt >> (j % 57)) as u8).collect(),
+                report: SecureCaptureReport {
+                    wire_time: SimDuration::from_nanos(salt >> 3),
+                    cpu_time: SimDuration::from_nanos(salt.rotate_left(17) >> 2),
+                    ..SecureCaptureReport::default()
+                },
+            }
+        })
+        .collect()
+}
+
+/// Turns drawn words into `(decision, probability_milli)` verdicts.
+fn verdicts_from_seeds(seeds: &[u64]) -> Vec<(FilterDecision, u16)> {
+    seeds
+        .iter()
+        .map(|&seed| {
+            let verdict = verdict_from_seed(seed);
+            (verdict.decision, (seed >> 24) as u16)
+        })
+        .collect()
+}
+
+proptest! {
+    /// The secure capture PTA's window-list request round-trips any list
+    /// of `u32` period counts.
+    #[test]
+    fn windows_request_round_trips(windows in proptest::collection::vec(any::<u32>(), 1..16)) {
+        let windows: Vec<usize> = windows.into_iter().map(|w| w as usize).collect();
+        prop_assert_eq!(decode_windows_request(&encode_windows_request(&windows)).unwrap(), windows);
+    }
+
+    /// A batch-capture reply round-trips every window's audio and
+    /// accounting, and no strict prefix of it decodes to the same window
+    /// list: a reply cut in flight is an error or visibly short.
+    #[test]
+    fn windows_reply_round_trips_and_prefixes_never_alias(
+        lengths in proptest::collection::vec(0usize..48, 1..6),
+        seed in any::<u64>(),
+    ) {
+        let captures = window_captures(&lengths, seed);
+        let reply = encode_windows_reply(&captures);
+        let decoded = decode_windows_reply(&reply).unwrap();
+        prop_assert_eq!(decoded.len(), captures.len());
+        for (window, capture) in decoded.iter().zip(&captures) {
+            prop_assert_eq!(window.encoded, capture.encoded.as_slice());
+            prop_assert_eq!(window.wire_ns, capture.report.wire_time.as_nanos());
+            prop_assert_eq!(window.cpu_ns, capture.report.cpu_time.as_nanos());
+        }
+        for cut in 0..reply.len() {
+            if let Ok(prefix) = decode_windows_reply(&reply[..cut]) {
+                prop_assert!(prefix != decoded, "a {cut}-byte prefix decoded to the full reply");
+            }
+        }
+    }
+
+    /// The filter TA's batch request round-trips any `(dialog, periods)`
+    /// list.
+    #[test]
+    fn batch_request_round_trips(
+        dialogs in proptest::collection::vec(any::<u64>(), 1..16),
+        periods_seed in any::<u64>(),
+    ) {
+        let windows: Vec<(u64, u32)> = dialogs
+            .iter()
+            .map(|&d| (d, (d ^ periods_seed) as u32))
+            .collect();
+        prop_assert_eq!(decode_batch_request(&encode_batch_request(&windows)).unwrap(), windows);
+    }
+
+    /// Per-window verdicts round-trip through their wire form.
+    #[test]
+    fn batch_verdicts_round_trip(seeds in proptest::collection::vec(any::<u64>(), 0..16)) {
+        let verdicts = verdicts_from_seeds(&seeds);
+        prop_assert_eq!(decode_batch_verdicts(&encode_batch_verdicts(&verdicts)).unwrap(), verdicts);
+    }
+
+    /// Arbitrary bytes never panic any of the four batch wire decoders:
+    /// each returns `Ok` or a typed error. Small byte values reach the
+    /// accepting paths (short lengths, known decision codes) as well as
+    /// the rejecting ones.
+    #[test]
+    fn batch_wire_decoders_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        small in proptest::collection::vec(0u8..4, 0..96),
+    ) {
+        for data in [&bytes, &small] {
+            if let Err(err) = decode_windows_request(data) {
+                prop_assert!(matches!(err, TeeError::BadParameters { .. }), "{err:?}");
+            }
+            if let Err(err) = decode_windows_reply(data) {
+                prop_assert!(matches!(err, TeeError::Communication { .. }), "{err:?}");
+            }
+            if let Err(err) = decode_batch_request(data) {
+                prop_assert!(matches!(err, TeeError::BadParameters { .. }), "{err:?}");
+            }
+            if let Err(err) = decode_batch_verdicts(data) {
+                prop_assert!(matches!(err, TeeError::Communication { .. }), "{err:?}");
+            }
+        }
     }
 }
