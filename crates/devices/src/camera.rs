@@ -8,6 +8,8 @@
 //! experiment (E9): every frame carries a small grayscale pixel block whose
 //! statistics differ between "scene kinds".
 
+use std::ops::Range;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -141,8 +143,9 @@ impl CameraSensor {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::UnsupportedConfig`] for zero dimensions or a
-    /// zero frame rate.
+    /// Returns [`DeviceError::UnsupportedConfig`] for a width or height
+    /// below 2 (the Person scene places its blob in the middle half of
+    /// each axis, which a 1-pixel axis does not have) or a zero frame rate.
     pub fn new(
         name: impl Into<String>,
         width: u32,
@@ -150,9 +153,14 @@ impl CameraSensor {
         fps: u32,
         seed: u64,
     ) -> Result<Self> {
-        if width == 0 || height == 0 || fps == 0 {
+        if width < 2 || height < 2 {
             return Err(DeviceError::UnsupportedConfig {
-                reason: "camera dimensions and frame rate must be non-zero".to_owned(),
+                reason: format!("camera geometry {width}x{height} is below 2x2"),
+            });
+        }
+        if fps == 0 {
+            return Err(DeviceError::UnsupportedConfig {
+                reason: "camera frame rate must be non-zero".to_owned(),
             });
         }
         Ok(CameraSensor {
@@ -224,6 +232,26 @@ impl CameraSensor {
     ///
     /// Returns [`DeviceError::InvalidState`] if the camera is not streaming.
     pub fn capture_frame(&mut self, scene: SceneKind) -> Result<ImageFrame> {
+        let mut pixels = Vec::with_capacity(self.width as usize * self.height as usize);
+        let sequence = self.capture_frame_into(scene, &mut pixels)?;
+        Ok(ImageFrame {
+            width: self.width,
+            height: self.height,
+            pixels,
+            scene,
+            sequence,
+        })
+    }
+
+    /// Captures one frame of the given scene onto the end of `out` and
+    /// returns its sequence number. Draws the same pixels, in the same
+    /// order, as [`CameraSensor::capture_frame`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::InvalidState`] if the camera is not
+    /// streaming; `out` is untouched in that case.
+    pub fn capture_frame_into(&mut self, scene: SceneKind, out: &mut Vec<u8>) -> Result<u64> {
         if !self.streaming {
             return Err(DeviceError::InvalidState {
                 operation: "capture frame".to_owned(),
@@ -231,70 +259,58 @@ impl CameraSensor {
             });
         }
         let (w, h) = (self.width as usize, self.height as usize);
-        let mut pixels = vec![0u8; w * h];
+        let start = out.len();
+        out.resize(start + w * h, 0);
+        let pixels = &mut out[start..];
+        let rng = &mut self.rng;
         match scene {
             SceneKind::EmptyRoom => {
                 for p in pixels.iter_mut() {
-                    *p = 120u8.saturating_add(self.rng.gen_range(0..8));
+                    *p = 120u8.saturating_add(rng.gen_range(0..8));
                 }
             }
             SceneKind::Person => {
                 // Background plus a dark high-contrast blob roughly centred.
-                let cx = self.rng.gen_range(w / 4..3 * w / 4) as f64;
-                let cy = self.rng.gen_range(h / 4..3 * h / 4) as f64;
+                let cx = rng.gen_range(w / 4..3 * w / 4) as f64;
+                let cy = rng.gen_range(h / 4..3 * h / 4) as f64;
                 let radius = (w.min(h) as f64) / 3.0;
-                for y in 0..h {
-                    for x in 0..w {
-                        let d =
-                            (((x as f64 - cx).powi(2) + (y as f64 - cy).powi(2)).sqrt()) / radius;
-                        let base = 130.0 + self.rng.gen_range(-6.0f64..6.0);
-                        let v = if d < 1.0 {
-                            base - 90.0 * (1.0 - d)
-                        } else {
-                            base
-                        };
-                        pixels[y * w + x] = v.clamp(0.0, 255.0) as u8;
-                    }
-                }
+                let blob = Blob {
+                    cx,
+                    cy,
+                    radius,
+                    background: 130.0,
+                    noise: 6.0,
+                    depth: 90.0,
+                };
+                blob.render(pixels, (w, h), rng);
             }
             SceneKind::Document => {
                 // High-frequency horizontal stripes (text lines on a bright page).
-                for y in 0..h {
-                    for x in 0..w {
-                        let stripe = if y % 4 < 2 { 230 } else { 40 };
-                        let noise: i16 = self.rng.gen_range(-10..10);
-                        pixels[y * w + x] = (stripe as i16 + noise).clamp(0, 255) as u8;
+                for (y, row) in pixels.chunks_exact_mut(w).enumerate() {
+                    let stripe: i16 = if y % 4 < 2 { 230 } else { 40 };
+                    for p in row {
+                        let noise: i16 = rng.gen_range(-10..10);
+                        *p = (stripe + noise).clamp(0, 255) as u8;
                     }
                 }
             }
             SceneKind::Pet => {
-                let cx = self.rng.gen_range(0..w) as f64;
+                let cx = rng.gen_range(0..w) as f64;
                 let radius = (w.min(h) as f64) / 6.0;
-                for y in 0..h {
-                    for x in 0..w {
-                        let d = (((x as f64 - cx).powi(2) + (y as f64 - (h as f64) * 0.8).powi(2))
-                            .sqrt())
-                            / radius;
-                        let base = 125.0 + self.rng.gen_range(-5.0f64..5.0);
-                        let v = if d < 1.0 {
-                            base - 40.0 * (1.0 - d)
-                        } else {
-                            base
-                        };
-                        pixels[y * w + x] = v.clamp(0.0, 255.0) as u8;
-                    }
-                }
+                let blob = Blob {
+                    cx,
+                    cy: (h as f64) * 0.8,
+                    radius,
+                    background: 125.0,
+                    noise: 5.0,
+                    depth: 40.0,
+                };
+                blob.render(pixels, (w, h), rng);
             }
         }
-        let frame = ImageFrame {
-            width: self.width,
-            height: self.height,
-            pixels,
-            scene,
-            sequence: self.sequence,
-        };
+        let sequence = self.sequence;
         self.sequence += 1;
-        Ok(frame)
+        Ok(sequence)
     }
 
     /// Captures one frame of whatever scene the source presents.
@@ -306,6 +322,78 @@ impl CameraSensor {
         let scene = source.next_scene();
         self.capture_frame(scene)
     }
+}
+
+/// Pixels farther than this beyond a blob's radius, on either axis, are
+/// never measured: there `d >= 1`, so the pixel is its background draw.
+/// The unpadded box already holds every pixel with `d < 1`; the pad is
+/// slack against rounding in `d`.
+const BLOB_BOX_PAD: f64 = 1.0;
+
+/// A dark disc over a noisy background: the Person and Pet scenes.
+struct Blob {
+    cx: f64,
+    cy: f64,
+    radius: f64,
+    /// Mean background level.
+    background: f64,
+    /// Half-width of the uniform background noise.
+    noise: f64,
+    /// How much darker the disc's centre is than the background.
+    depth: f64,
+}
+
+impl Blob {
+    /// The indices `i < len` with `|i - centre| <= radius + BLOB_BOX_PAD`:
+    /// one axis of the blob's padded bounding box.
+    fn span(&self, centre: f64, len: usize) -> Range<usize> {
+        let reach = self.radius + BLOB_BOX_PAD;
+        let hi = ((centre + reach).floor() + 1.0).clamp(0.0, len as f64) as usize;
+        let lo = (centre - reach).ceil().max(0.0) as usize;
+        lo.min(hi)..hi
+    }
+
+    /// One pixel's background: the mean level plus uniform noise.
+    fn draw(&self, rng: &mut SmallRng) -> f64 {
+        self.background + rng.gen_range(-self.noise..self.noise)
+    }
+
+    /// Renders the `w`x`h` frame `pixels`. Every pixel draws its
+    /// background noise from `rng`, in row-major order; the disc darkens
+    /// the pixels it covers.
+    fn render(&self, pixels: &mut [u8], (w, h): (usize, usize), rng: &mut SmallRng) {
+        let cols = self.span(self.cx, w);
+        let rows = self.span(self.cy, h);
+        for (y, row) in pixels.chunks_exact_mut(w).enumerate() {
+            let (left, mid, right) = if rows.contains(&y) {
+                let (left, rest) = row.split_at_mut(cols.start);
+                let (mid, right) = rest.split_at_mut(cols.len());
+                (left, mid, right)
+            } else {
+                (row, &mut [][..], &mut [][..])
+            };
+            for p in left {
+                *p = to_pixel(self.draw(rng));
+            }
+            let dy2 = (y as f64 - self.cy).powi(2);
+            for (x, p) in cols.clone().zip(mid) {
+                let base = self.draw(rng);
+                let d = ((x as f64 - self.cx).powi(2) + dy2).sqrt() / self.radius;
+                *p = to_pixel(if d < 1.0 {
+                    base - self.depth * (1.0 - d)
+                } else {
+                    base
+                });
+            }
+            for p in right {
+                *p = to_pixel(self.draw(rng));
+            }
+        }
+    }
+}
+
+fn to_pixel(v: f64) -> u8 {
+    v.clamp(0.0, 255.0) as u8
 }
 
 #[cfg(test)]
@@ -322,6 +410,45 @@ mod tests {
     fn rejects_degenerate_configs() {
         assert!(CameraSensor::new("bad", 0, 10, 10, 0).is_err());
         assert!(CameraSensor::new("bad", 10, 10, 0, 0).is_err());
+    }
+
+    #[test]
+    fn one_pixel_axes_are_rejected_and_two_pixels_render_every_scene() {
+        for (w, h) in [(1, 1), (1, 48), (64, 1), (1, 2), (2, 1)] {
+            assert!(
+                matches!(
+                    CameraSensor::new("thin", w, h, 15, 0),
+                    Err(DeviceError::UnsupportedConfig { .. })
+                ),
+                "{w}x{h} accepted"
+            );
+        }
+        for (w, h) in [(2, 2), (2, 9), (9, 2)] {
+            let mut cam = CameraSensor::new("small", w, h, 15, 3).unwrap();
+            cam.start();
+            for scene in SceneKind::ALL {
+                let frame = cam.capture_frame(scene).unwrap();
+                assert_eq!(frame.byte_len(), (w * h) as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn capture_frame_into_appends_what_capture_frame_returns() {
+        let mut a = camera();
+        let mut b = camera();
+        let mut out = vec![7u8; 5];
+        for (i, scene) in SceneKind::ALL.into_iter().cycle().take(8).enumerate() {
+            let frame = a.capture_frame(scene).unwrap();
+            let start = out.len();
+            assert_eq!(b.capture_frame_into(scene, &mut out).unwrap(), i as u64);
+            assert_eq!(frame.sequence, i as u64);
+            assert_eq!(&out[start..], frame.pixels.as_slice());
+        }
+        assert_eq!(&out[..5], &[7; 5]);
+        b.stop();
+        assert!(b.capture_frame_into(SceneKind::Pet, &mut out).is_err());
+        assert_eq!(out.len(), 5 + 8 * 64 * 48);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the channel with a destination buffer and a period size, and consumes
 //! periods as they complete.
 //!
-//! The model is synchronous: [`DmaChannel::transfer`] moves samples into a
+//! The model is synchronous: [`DmaChannel::transfer`] moves samples (and
+//! [`DmaChannel::transfer_bytes`] raw bytes, as 16-bit words) into a
 //! byte buffer and reports the transfer it performed, including the bus
 //! time the transfer would occupy. Period-interrupt pacing is handled by
 //! the driver layers, which know about the platform clock.
@@ -103,13 +104,39 @@ impl DmaChannel {
         for (word, s) in dst[..required].chunks_exact_mut(2).zip(samples) {
             word.copy_from_slice(&s.to_le_bytes());
         }
-        let bus_time = self.bus_time_for(required);
+        Ok(self.complete(required))
+    }
+
+    /// Copies `bytes` into `dst` as the little-endian 16-bit words
+    /// [`DmaChannel::transfer`] moves: two bytes per word, an odd tail
+    /// padded with one zero byte. Writes, counts and times exactly what
+    /// `transfer` does for the packed words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::BufferTooSmall`] if `dst` cannot hold the
+    /// padded bytes; nothing is written in that case.
+    pub fn transfer_bytes(&mut self, bytes: &[u8], dst: &mut [u8]) -> Result<DmaTransfer> {
+        let required = bytes.len().next_multiple_of(2);
+        if dst.len() < required {
+            return Err(DeviceError::BufferTooSmall {
+                required,
+                available: dst.len(),
+            });
+        }
+        dst[..bytes.len()].copy_from_slice(bytes);
+        dst[bytes.len()..required].fill(0);
+        Ok(self.complete(required))
+    }
+
+    /// Counts a transfer of `bytes` and times it on the bus.
+    fn complete(&mut self, bytes: usize) -> DmaTransfer {
         self.transfers += 1;
-        self.bytes_moved += required as u64;
-        Ok(DmaTransfer {
-            bytes: required,
-            bus_time,
-        })
+        self.bytes_moved += bytes as u64;
+        DmaTransfer {
+            bytes,
+            bus_time: self.bus_time_for(bytes),
+        }
     }
 
     /// Bus time a transfer of `bytes` occupies, rounded up to whole bursts.
@@ -161,6 +188,39 @@ mod tests {
         ));
         assert_eq!(dma.transfer_count(), 0);
         assert!(dst.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn transfer_bytes_matches_transfer_of_the_packed_words() {
+        for len in [0usize, 1, 2, 3, 7, 64, 65, 3072, 3073] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let words: Vec<i16> = bytes
+                .chunks(2)
+                .map(|c| i16::from_le_bytes([c[0], *c.get(1).unwrap_or(&0)]))
+                .collect();
+            let (mut by_words, mut by_bytes) = (DmaChannel::default(), DmaChannel::default());
+            let mut want = vec![0xAAu8; len + 4];
+            let mut got = want.clone();
+            let t_words = by_words.transfer(&words, &mut want).unwrap();
+            let t_bytes = by_bytes.transfer_bytes(&bytes, &mut got).unwrap();
+            assert_eq!(got, want, "{len} bytes");
+            assert_eq!(t_bytes, t_words, "{len} bytes");
+            assert_eq!(by_bytes.bytes_moved(), by_words.bytes_moved());
+            assert_eq!(by_bytes.transfer_count(), by_words.transfer_count());
+        }
+        // Too small for the padded tail: the same error, nothing written.
+        let mut dma = DmaChannel::default();
+        let mut dst = vec![0u8; 3];
+        let err = dma.transfer_bytes(&[1, 2, 3], &mut dst).unwrap_err();
+        assert!(matches!(
+            err,
+            DeviceError::BufferTooSmall {
+                required: 4,
+                available: 3
+            }
+        ));
+        assert_eq!(dst, [0; 3]);
+        assert_eq!(dma.transfer_count(), 0);
     }
 
     #[test]

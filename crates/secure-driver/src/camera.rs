@@ -232,7 +232,9 @@ impl SecureCameraDriver {
     /// # Errors
     ///
     /// Returns [`TeeError::BadParameters`] if the stream is not running,
-    /// or a wrapped device error.
+    /// the window is empty or its byte count overflows,
+    /// [`TeeError::OutOfMemory`] if the window exceeds the secure
+    /// carve-out or cannot be reserved, or a wrapped device error.
     pub fn capture_frames(&mut self, frames: usize) -> TeeResult<(Vec<u8>, SecureFrameReport)> {
         if self.state != SecureDriverState::Running {
             return Err(TeeError::BadParameters {
@@ -244,41 +246,43 @@ impl SecureCameraDriver {
                 reason: "frame capture needs at least one frame".to_owned(),
             });
         }
+        let bytes = self.window_bytes(frames)?;
+        let mut pixels = Vec::new();
+        pixels
+            .try_reserve(bytes)
+            .map_err(|_| TeeError::OutOfMemory { requested: bytes })?;
         let mut report = SecureFrameReport {
             frames,
             ..SecureFrameReport::default()
         };
-        let mut pixels = Vec::with_capacity(frames * self.frame_bytes());
         let cpu_before = self.platform.clock().now();
         for _ in 0..frames {
-            // 1. One frame arrives over the sensor interface.
-            let frame = self
-                .sensor
-                .capture_from(self.scenes.as_mut())
+            // 1. One frame arrives over the sensor interface, straight
+            //    onto the end of the window.
+            let start = pixels.len();
+            let scene = self.scenes.next_scene();
+            self.sensor
+                .capture_frame_into(scene, &mut pixels)
                 .map_err(|e| TeeError::Generic {
                     reason: e.to_string(),
                 })?;
+            let frame = &pixels[start..];
             let wire = self.sensor.frame_interval();
             report.wire_time += wire;
             self.platform.record_device_busy(Component::Camera, wire);
 
-            // 2. DMA moves it into the secure frame buffer. The DMA model
-            //    transfers i16 words; pack two pixels per word.
-            let words: Vec<i16> = frame
-                .pixels
-                .chunks(2)
-                .map(|c| i16::from_le_bytes([c[0], *c.get(1).unwrap_or(&0)]))
-                .collect();
+            // 2. DMA moves it into the secure frame buffer, two pixels per
+            //    16-bit word.
             let io = self
                 .io_buffer
                 .as_mut()
                 .expect("configured driver has io buffer");
-            let transfer =
-                self.dma
-                    .transfer(&words, io.as_mut_slice())
-                    .map_err(|e| TeeError::Generic {
-                        reason: e.to_string(),
-                    })?;
+            let transfer = self
+                .dma
+                .transfer_bytes(frame, io.as_mut_slice())
+                .map_err(|e| TeeError::Generic {
+                    reason: e.to_string(),
+                })?;
             self.platform
                 .record_device_busy(Component::DmaEngine, transfer.bus_time);
 
@@ -293,8 +297,7 @@ impl SecureCameraDriver {
             // 4. The driver securely unpacks the surface into the TA-visible
             //    layout: charged as secure compute over the frame bytes.
             self.platform
-                .charge_compute(World::Secure, frame.pixels.len() as u64 / 4);
-            pixels.extend_from_slice(&frame.pixels);
+                .charge_compute(World::Secure, frame.len() as u64 / 4);
         }
         report.pixel_bytes = pixels.len();
         report.cpu_time = self.platform.clock().elapsed_since(cpu_before);
@@ -305,6 +308,24 @@ impl SecureCameraDriver {
         Ok((pixels, report))
     }
 
+    /// Pixel bytes in a window of `frames` frames. The count comes from
+    /// the normal world, so it is checked before anything is reserved: a
+    /// count that overflows is [`TeeError::BadParameters`], and a window
+    /// larger than the whole secure carve-out, which must buffer it before
+    /// the TA reads it, is [`TeeError::OutOfMemory`].
+    fn window_bytes(&self, frames: usize) -> TeeResult<usize> {
+        let bytes =
+            frames
+                .checked_mul(self.frame_bytes())
+                .ok_or_else(|| TeeError::BadParameters {
+                    reason: format!("a window of {frames} frames overflows the pixel count"),
+                })?;
+        if bytes > self.platform.secure_ram().capacity() {
+            return Err(TeeError::OutOfMemory { requested: bytes });
+        }
+        Ok(bytes)
+    }
+
     /// Captures several frame windows back to back in one driver call —
     /// the batch-aware entry point behind the camera PTA's
     /// `CAPTURE_FRAME_BATCH` command. Each entry of `windows` is a window
@@ -313,7 +334,9 @@ impl SecureCameraDriver {
     /// # Errors
     ///
     /// Same as [`SecureCameraDriver::capture_frames`]; an empty batch or a
-    /// zero-length window is rejected as [`TeeError::BadParameters`].
+    /// zero-length window is rejected as [`TeeError::BadParameters`]. Every
+    /// window's size is checked before the first one is captured, so an
+    /// oversized window fails the batch without side effects.
     pub fn capture_windows(
         &mut self,
         windows: &[usize],
@@ -327,6 +350,9 @@ impl SecureCameraDriver {
             return Err(TeeError::BadParameters {
                 reason: "frame windows must be at least one frame".to_owned(),
             });
+        }
+        for &frames in windows {
+            self.window_bytes(frames)?;
         }
         let mut captures = Vec::with_capacity(windows.len());
         let mut total = SecureFrameReport::default();
@@ -433,6 +459,28 @@ mod tests {
         let stats = d.stats();
         assert_eq!(stats.frames_captured, 6);
         assert_eq!(stats.bytes_delivered, 6 * 64 * 48);
+    }
+
+    #[test]
+    fn windows_that_overflow_or_exceed_the_carveout_are_typed_errors() {
+        let platform = Platform::jetson_agx_xavier();
+        let mut d = secure_camera(&platform, SceneKind::Person);
+        d.configure().unwrap();
+        d.start().unwrap();
+        let clock = platform.clock().now();
+        assert!(matches!(
+            d.capture_frames(usize::MAX).unwrap_err(),
+            TeeError::BadParameters { .. }
+        ));
+        let carveout_frames = platform.secure_ram().capacity() / d.frame_bytes();
+        assert!(matches!(
+            d.capture_windows(&[1, carveout_frames + 1]).unwrap_err(),
+            TeeError::OutOfMemory { .. }
+        ));
+        // Nothing was captured or charged, and the stream still serves.
+        assert_eq!(d.stats(), SecureCameraStats::default());
+        assert_eq!(platform.clock().now(), clock);
+        assert!(d.capture_frames(1).is_ok());
     }
 
     #[test]

@@ -72,7 +72,11 @@ pub fn encode_frame_windows_reply(
     width: u16,
     height: u16,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    let len = captures
+        .iter()
+        .map(|c| FRAME_WINDOW_HEADER_LEN + c.pixels.len())
+        .sum();
+    let mut out = Vec::with_capacity(len);
     for capture in captures {
         out.extend_from_slice(&(capture.pixels.len() as u32).to_le_bytes());
         out.extend_from_slice(&(capture.frames as u32).to_le_bytes());
@@ -85,11 +89,17 @@ pub fn encode_frame_windows_reply(
     out
 }
 
-/// One decoded window of a batch frame-capture reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameWindowReply {
+/// Bytes of a window's header in a batch frame-capture reply: the `u32`
+/// length and frame count, the two `u16` dimensions and the two `u64`
+/// accounting fields.
+const FRAME_WINDOW_HEADER_LEN: usize = 28;
+
+/// One decoded window of a batch frame-capture reply, borrowing its pixels
+/// from the reply buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameWindowReply<'a> {
     /// Row-major grayscale pixels, frames concatenated.
-    pub pixels: Vec<u8>,
+    pub pixels: &'a [u8],
     /// Number of frames in the window.
     pub frames: usize,
     /// Frame width in pixels.
@@ -108,42 +118,36 @@ pub struct FrameWindowReply {
 /// # Errors
 ///
 /// Returns [`TeeError::Communication`] for truncated buffers.
-pub fn decode_frame_windows_reply(data: &[u8]) -> TeeResult<Vec<FrameWindowReply>> {
-    const HEADER: usize = 4 + 4 + 2 + 2 + 8 + 8;
+pub fn decode_frame_windows_reply(data: &[u8]) -> TeeResult<Vec<FrameWindowReply<'_>>> {
     let mut out = Vec::new();
-    let mut offset = 0usize;
-    while offset < data.len() {
-        if data.len() < offset + HEADER {
+    let mut rest = data;
+    while !rest.is_empty() {
+        let Some((header, body)) = rest.split_first_chunk::<FRAME_WINDOW_HEADER_LEN>() else {
             return Err(TeeError::Communication {
                 reason: "frame batch reply header truncated".to_owned(),
             });
-        }
-        let len =
-            u32::from_le_bytes(data[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let frames =
-            u32::from_le_bytes(data[offset + 4..offset + 8].try_into().expect("4 bytes")) as usize;
-        let width = u16::from_le_bytes(data[offset + 8..offset + 10].try_into().expect("2 bytes"));
-        let height =
-            u16::from_le_bytes(data[offset + 10..offset + 12].try_into().expect("2 bytes"));
-        let wire_ns =
-            u64::from_le_bytes(data[offset + 12..offset + 20].try_into().expect("8 bytes"));
-        let cpu_ns =
-            u64::from_le_bytes(data[offset + 20..offset + 28].try_into().expect("8 bytes"));
-        offset += HEADER;
-        if data.len() < offset + len {
+        };
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let frames = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
+        let width = u16::from_le_bytes(header[8..10].try_into().expect("2 bytes"));
+        let height = u16::from_le_bytes(header[10..12].try_into().expect("2 bytes"));
+        let wire_ns = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
+        let cpu_ns = u64::from_le_bytes(header[20..].try_into().expect("8 bytes"));
+        if body.len() < len {
             return Err(TeeError::Communication {
                 reason: "frame batch reply pixels truncated".to_owned(),
             });
         }
+        let (pixels, tail) = body.split_at(len);
         out.push(FrameWindowReply {
-            pixels: data[offset..offset + len].to_vec(),
+            pixels,
             frames,
             width,
             height,
             wire_ns,
             cpu_ns,
         });
-        offset += len;
+        rest = tail;
     }
     Ok(out)
 }
@@ -309,6 +313,43 @@ mod tests {
         assert!(core
             .invoke_pta(uuid, cmd::CAPTURE_FRAME_BATCH, &mut p)
             .is_err());
+    }
+
+    #[test]
+    fn oversized_frame_window_is_rejected_before_any_capture() {
+        let (core, uuid) = registered_pta();
+        core.invoke_pta(uuid, cmd::CONFIGURE, &mut TeeParams::new())
+            .unwrap();
+        core.invoke_pta(uuid, cmd::START, &mut TeeParams::new())
+            .unwrap();
+
+        // The normal world names a u32::MAX-frame window after a valid
+        // one: the batch fails with a typed error, nothing is captured.
+        let mut request = encode_frames_request(&[2]);
+        request.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut p = TeeParams::new().with(0, TeeParam::MemRefInput(request));
+        let err = core
+            .invoke_pta(uuid, cmd::CAPTURE_FRAME_BATCH, &mut p)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TeeError::OutOfMemory { .. } | TeeError::BadParameters { .. }
+            ),
+            "{err:?}"
+        );
+        let mut p = TeeParams::new();
+        core.invoke_pta(uuid, cmd::STATS, &mut p).unwrap();
+        assert_eq!(p.get(0).as_values().unwrap(), (0, 0));
+        assert_eq!(p.get(1).as_values().unwrap(), (0, 0));
+
+        // The stream still serves a sane batch afterwards.
+        let mut p = TeeParams::new().with(0, TeeParam::MemRefInput(encode_frames_request(&[2])));
+        core.invoke_pta(uuid, cmd::CAPTURE_FRAME_BATCH, &mut p)
+            .unwrap();
+        let replies = decode_frame_windows_reply(p.get(1).as_memref().unwrap()).unwrap();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].pixels.len(), 2 * 64 * 48);
     }
 
     #[test]

@@ -22,10 +22,16 @@ use perisec::relay::netsim::NetworkService;
 use perisec::relay::{MockCloudService, SecureChannelClient, PSK_LEN};
 use perisec::sched::scheduler::SessionScheduler;
 use perisec::sched::stage::merge_verdicts;
+use perisec::secure_driver::camera::FrameWindowCapture;
+use perisec::secure_driver::camera_pta::{
+    decode_frame_windows_reply, decode_frames_request, encode_frame_windows_reply,
+    encode_frames_request,
+};
 use perisec::secure_driver::driver::{SecureCaptureReport, WindowCapture};
 use perisec::secure_driver::pta::{
     decode_windows_reply, decode_windows_request, encode_windows_reply, encode_windows_request,
 };
+use perisec::secure_driver::SecureFrameReport;
 use perisec::tz::secure_mem::SecureRam;
 use perisec::tz::stats::TzStats;
 use perisec::tz::time::SimDuration;
@@ -684,6 +690,80 @@ proptest! {
                 prop_assert!(matches!(err, TeeError::BadParameters { .. }), "{err:?}");
             }
             if let Err(err) = decode_batch_verdicts(data) {
+                prop_assert!(matches!(err, TeeError::Communication { .. }), "{err:?}");
+            }
+        }
+    }
+}
+
+/// Builds a batch frame-capture reply's windows from drawn lengths and one
+/// seed.
+fn frame_window_captures(lengths: &[usize], seed: u64) -> Vec<FrameWindowCapture> {
+    window_captures(lengths, seed)
+        .into_iter()
+        .zip(lengths)
+        .map(|(window, &len)| FrameWindowCapture {
+            pixels: window.encoded,
+            frames: len.div_ceil(3),
+            report: SecureFrameReport {
+                wire_time: window.report.wire_time,
+                cpu_time: window.report.cpu_time,
+                ..SecureFrameReport::default()
+            },
+        })
+        .collect()
+}
+
+proptest! {
+    /// The camera PTA's frame-window request round-trips any list of
+    /// `u32` frame counts.
+    #[test]
+    fn frames_request_round_trips(windows in proptest::collection::vec(any::<u32>(), 1..16)) {
+        let windows: Vec<usize> = windows.into_iter().map(|w| w as usize).collect();
+        prop_assert_eq!(decode_frames_request(&encode_frames_request(&windows)).unwrap(), windows);
+    }
+
+    /// A batch frame-capture reply round-trips every window's pixels,
+    /// frame count, geometry and accounting, and no strict prefix of it
+    /// decodes to the same window list.
+    #[test]
+    fn frame_windows_reply_round_trips_and_prefixes_never_alias(
+        lengths in proptest::collection::vec(0usize..48, 1..6),
+        seed in any::<u64>(),
+        width in any::<u16>(),
+        height in any::<u16>(),
+    ) {
+        let captures = frame_window_captures(&lengths, seed);
+        let reply = encode_frame_windows_reply(&captures, width, height);
+        let decoded = decode_frame_windows_reply(&reply).unwrap();
+        prop_assert_eq!(decoded.len(), captures.len());
+        for (window, capture) in decoded.iter().zip(&captures) {
+            prop_assert_eq!(window.pixels, capture.pixels.as_slice());
+            prop_assert_eq!(window.frames, capture.frames);
+            prop_assert_eq!((window.width, window.height), (width, height));
+            prop_assert_eq!(window.wire_ns, capture.report.wire_time.as_nanos());
+            prop_assert_eq!(window.cpu_ns, capture.report.cpu_time.as_nanos());
+        }
+        for cut in 0..reply.len() {
+            if let Ok(prefix) = decode_frame_windows_reply(&reply[..cut]) {
+                prop_assert!(prefix != decoded, "a {cut}-byte prefix decoded to the full reply");
+            }
+        }
+    }
+
+    /// Arbitrary bytes never panic the camera PTA's two wire decoders:
+    /// each returns `Ok` or a typed error. Small byte values reach the
+    /// accepting paths (short lengths) as well as the rejecting ones.
+    #[test]
+    fn frame_wire_decoders_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+        small in proptest::collection::vec(0u8..4, 0..128),
+    ) {
+        for data in [&bytes, &small] {
+            if let Err(err) = decode_frames_request(data) {
+                prop_assert!(matches!(err, TeeError::BadParameters { .. }), "{err:?}");
+            }
+            if let Err(err) = decode_frame_windows_reply(data) {
                 prop_assert!(matches!(err, TeeError::Communication { .. }), "{err:?}");
             }
         }
