@@ -145,7 +145,9 @@ impl CameraSensor {
     ///
     /// Returns [`DeviceError::UnsupportedConfig`] for a width or height
     /// below 2 (the Person scene places its blob in the middle half of
-    /// each axis, which a 1-pixel axis does not have) or a zero frame rate.
+    /// each axis, which a 1-pixel axis does not have), for one above
+    /// `u16::MAX` (the secure frame-batch reply carries the geometry in
+    /// u16 header fields), or for a zero frame rate.
     pub fn new(
         name: impl Into<String>,
         width: u32,
@@ -156,6 +158,14 @@ impl CameraSensor {
         if width < 2 || height < 2 {
             return Err(DeviceError::UnsupportedConfig {
                 reason: format!("camera geometry {width}x{height} is below 2x2"),
+            });
+        }
+        if width > u32::from(u16::MAX) || height > u32::from(u16::MAX) {
+            return Err(DeviceError::UnsupportedConfig {
+                reason: format!(
+                    "camera geometry {width}x{height} exceeds {max}x{max}",
+                    max = u16::MAX
+                ),
             });
         }
         if fps == 0 {
@@ -430,6 +440,22 @@ mod tests {
                 let frame = cam.capture_frame(scene).unwrap();
                 assert_eq!(frame.byte_len(), (w * h) as usize);
             }
+        }
+    }
+
+    #[test]
+    fn axes_above_u16_max_are_rejected() {
+        let max = u32::from(u16::MAX);
+        assert!(CameraSensor::new("wide", max, 2, 15, 0).is_ok());
+        assert!(CameraSensor::new("tall", 2, max, 15, 0).is_ok());
+        for (w, h) in [(max + 1, 2), (2, max + 1), (70_000, 2)] {
+            assert!(
+                matches!(
+                    CameraSensor::new("huge", w, h, 15, 0),
+                    Err(DeviceError::UnsupportedConfig { .. })
+                ),
+                "{w}x{h} accepted"
+            );
         }
     }
 

@@ -48,13 +48,17 @@
 //! accuracy, latency and memory can be compared inside the TEE — without
 //! external artifacts. DESIGN.md documents this substitution.
 
-// Unsafe is denied crate-wide and allowed back only for the `quant::x86`
-// intrinsic kernels and their runtime-dispatch call sites. Everything
-// else in the crate must stay safe Rust, and every unsafe block carries
-// a SAFETY comment tied to a proptest pinning the kernel bit-identical
-// to its scalar oracle.
+// Unsafe is denied crate-wide and allowed back only for the AVX2
+// intrinsic kernels: `quant::x86` and the call sites that dispatch to it,
+// the int8 max-pool and vision patch-pool kernels, and `mfcc::x86`, which
+// keeps every unsafe block of the MFCC front end behind safe methods.
+// Everything else in the crate must stay safe Rust. Every unsafe block
+// carries a SAFETY comment (clippy's `undocumented_unsafe_blocks`, which
+// CI's `clippy -D warnings` turns into an error), and every kernel has a
+// proptest pinning it bit-identical to its scalar oracle.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod classifier;
 pub mod head;

@@ -24,6 +24,26 @@
 //! imaginary half, and the first two stages (twiddles 1 and −i) run
 //! without a multiply.
 //!
+//! Frame energies square each sample once: every frame starts and ends
+//! on a multiple of a *grain* that divides the hop, so a frame's sum of
+//! squares is the difference of two exact i64 prefix sums taken at grain
+//! boundaries, whatever the hop.
+//!
+//! **Dispatch.** An extractor picks its kernels once, when it is built:
+//! on x86-64 hosts where `is_x86_feature_detected!("avx2")` holds, the
+//! pack (one 32-bit gather per even/odd sample pair), the butterflies (8
+//! lanes, or 4 for a stage with 4 twiddles, and the length-2/4 stages on
+//! shuffles), the split pass (the mirrored `Y[m - k]` operands come from
+//! a reversed `vpermps` load), the mel filterbank (transposed so 8
+//! filters run in 8 lanes, one gather per tap) and the frame-energy sums
+//! run in the AVX2 forms of the private `x86` module, which holds every
+//! `unsafe` of the front end. Elsewhere the scalar code runs; it is also
+//! the oracle. Each lane performs the same IEEE `mul`/`add`/`sub`, in the
+//! same order, as the scalar code — no FMA, no reassociation, and the
+//! `ln` stays scalar — so both forms give **bit-identical** power bins,
+//! log-mel values, cepstra, energies and therefore tokens, which the
+//! unit tests check with `to_bits`.
+//!
 //! The compute charges that the filter TA bills to virtual time
 //! ([`crate::stt::KeywordStt::mfcc_flops_for`] and its siblings) model
 //! the cost of a straightforward front end on the device. They are a
@@ -288,6 +308,14 @@ impl RealFft {
         im: &mut Vec<f32>,
         power: &mut Vec<f32>,
     ) {
+        self.pack(frame, re, im);
+        self.half.butterflies(re, im);
+        self.split_power(re, im, power);
+    }
+
+    /// Windows `frame` into the packed complex input, in bit-reversed
+    /// order.
+    fn pack(&self, frame: &[i16], re: &mut Vec<f32>, im: &mut Vec<f32>) {
         let m = self.source.len();
         let frame = &frame[..2 * m];
         re.clear();
@@ -304,11 +332,17 @@ impl RealFft {
             *r = f32::from(frame[s]) * w_even;
             *i = f32::from(frame[s + 1]) * w_odd;
         }
-        self.half.butterflies(re, im);
-        // Split: with Z the packed FFT and Y[k] = Z[m - k] (`yr`, `yi`),
-        // the even samples' spectrum is E = (Z + conj Y) / 2, the odd
-        // samples' is O = (Z - conj Y) / 2i, and X[k] = E[k] +
-        // e^{-2πik/n} O[k]. Bin 0 pairs Z[0] with itself.
+    }
+
+    /// The split pass: the power bins of the real frame from its packed
+    /// FFT `re`/`im`.
+    ///
+    /// With Z the packed FFT and Y[k] = Z[m - k], the even samples'
+    /// spectrum is E = (Z + conj Y) / 2, the odd samples' is
+    /// O = (Z - conj Y) / 2i, and X[k] = E[k] + e^{-2πik/n} O[k]. Bin 0
+    /// pairs Z[0] with itself.
+    fn split_power(&self, re: &[f32], im: &[f32], power: &mut Vec<f32>) {
+        let m = self.source.len();
         power.clear();
         power.resize(m, 0.0);
         power[0] = (re[0] + im[0]) * (re[0] + im[0]);
@@ -320,13 +354,22 @@ impl RealFft {
             .zip(&self.post_re[1..])
             .zip(&self.post_im[1..])
         {
-            let (even_re, even_im) = (0.5 * (zr + yr), 0.5 * (zi - yi));
-            let (odd_re, odd_im) = (0.5 * (zi + yi), 0.5 * (yr - zr));
-            let x_re = even_re + c * odd_re - s * odd_im;
-            let x_im = even_im + c * odd_im + s * odd_re;
-            *p = x_re * x_re + x_im * x_im;
+            *p = split_bin(zr, zi, yr, yi, c, s);
         }
     }
+}
+
+/// One bin of the split pass: `|X[k]|^2` from `Z[k]` (`zr`, `zi`),
+/// `Y[k] = Z[m - k]` (`yr`, `yi`) and the post-twiddle (`c`, `s`). The
+/// AVX2 split pass runs this exact operation sequence lane-wise and calls
+/// it for its tail.
+#[inline(always)]
+fn split_bin(zr: f32, zi: f32, yr: f32, yi: f32, c: f32, s: f32) -> f32 {
+    let (even_re, even_im) = (0.5 * (zr + yr), 0.5 * (zi - yi));
+    let (odd_re, odd_im) = (0.5 * (zi + yi), 0.5 * (yr - zr));
+    let x_re = even_re + c * odd_re - s * odd_im;
+    let x_im = even_im + c * odd_im + s * odd_re;
+    x_re * x_re + x_im * x_im
 }
 
 /// One triangular mel filter: its weights over the contiguous FFT bins
@@ -344,6 +387,47 @@ impl MelFilter {
             .zip(&self.weights)
             .map(|(&p, &w)| p * w)
             .sum()
+    }
+}
+
+/// The log of one mel energy, floored away from `ln(0)`.
+#[inline(always)]
+fn log_energy(energy: f32) -> f32 {
+    (energy + 1e-10).ln()
+}
+
+/// The exact sum of the squared samples of `block`: a squared i16 fits
+/// an i32, the sum needs i64.
+fn sum_squares(block: &[i16]) -> i64 {
+    block
+        .iter()
+        .map(|&s| i64::from(i32::from(s) * i32::from(s)))
+        .sum()
+}
+
+/// Which form of the front-end kernels an extractor runs: the pack,
+/// butterflies and split pass of the FFT, the mel filterbank and the
+/// frame-energy sums. Chosen once, when the extractor is built.
+#[derive(Debug, Clone)]
+enum Kernels {
+    /// The scalar code: the fallback on every host, and the oracle the
+    /// wide forms are tested bit-identical against.
+    Portable,
+    /// The AVX2 forms; holding one proves the host supports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(x86::Avx2Kernels),
+}
+
+impl Kernels {
+    /// The widest form this host runs.
+    fn detect(filterbank: &[MelFilter]) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = x86::Avx2Kernels::detect(filterbank) {
+            return Kernels::Avx2(avx2);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = filterbank;
+        Kernels::Portable
     }
 }
 
@@ -372,6 +456,8 @@ pub struct MfccExtractor {
     /// DCT-II basis, row-major `n_mels x n_coeffs` (transposed, so one
     /// log-mel value scales one contiguous row into every coefficient).
     dct: Vec<f32>,
+    /// The kernel form every frame runs, detected at construction.
+    kernels: Kernels,
 }
 
 impl MfccExtractor {
@@ -441,6 +527,7 @@ impl MfccExtractor {
         MfccExtractor {
             config,
             fft: RealFft::new(&window),
+            kernels: Kernels::detect(&filterbank),
             filterbank,
             dct,
         }
@@ -468,28 +555,54 @@ impl MfccExtractor {
 
     /// Per-frame RMS energy (used for voice-activity segmentation).
     pub fn frame_energies(&self, samples: &[i16]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.frame_energies_into(samples, &mut out);
-        out
+        let mut plan = FeaturePlan::new();
+        self.frame_energies_into(samples, &mut plan);
+        plan.energies
     }
 
-    /// [`MfccExtractor::frame_energies`] into a caller-owned buffer —
-    /// allocation-free once the buffer is warm. The per-frame sum of
-    /// squared samples is an exact i64 integer; only the final
-    /// normalization and square root touch floating point.
-    pub fn frame_energies_into(&self, samples: &[i16], out: &mut Vec<f64>) {
+    /// [`MfccExtractor::frame_energies`] into the plan's scratch —
+    /// allocation-free once the plan is warm. Returns the energies, one
+    /// per frame.
+    ///
+    /// Every frame start and end falls on a multiple of the *grain*, the
+    /// largest power of two that divides `hop_len` (at most
+    /// `frame_len`). Each sample is squared once, into an exact i64
+    /// running sum taken at every grain boundary; a frame's sum of
+    /// squares is the difference of two of those prefixes. Only the
+    /// final normalization and square root touch floating point.
+    pub fn frame_energies_into<'p>(&self, samples: &[i16], plan: &'p mut FeaturePlan) -> &'p [f64] {
         let frames = self.frame_count(samples.len());
-        let full_scale = i16::MAX as f64 * i16::MAX as f64;
+        let out = &mut plan.energies;
         out.clear();
-        out.extend((0..frames).map(|f| {
-            let frame = self.frame(samples, f);
-            // A squared i16 fits an i32 exactly; the sum needs i64.
-            let sum_sq: i64 = frame
-                .iter()
-                .map(|&s| i64::from(i32::from(s) * i32::from(s)))
-                .sum();
-            (sum_sq as f64 / (full_scale * frame.len() as f64)).sqrt()
-        }));
+        if frames == 0 {
+            return out;
+        }
+        let (frame_len, hop_len) = (self.config.frame_len, self.config.hop_len);
+        let grain = (1usize << hop_len.trailing_zeros()).min(frame_len);
+        // The prefixes go into `out` as i64 bit patterns: there is at
+        // least one per frame, and frame `f` reads only prefixes at
+        // index `f` or later, so it can overwrite slot `f` in place.
+        let covered = &samples[..(frames - 1) * hop_len + frame_len];
+        out.reserve_exact(covered.len() / grain + 1);
+        out.push(f64::from_bits(0));
+        let mut total = 0i64;
+        for block in covered.chunks_exact(grain) {
+            total += match &self.kernels {
+                Kernels::Portable => sum_squares(block),
+                #[cfg(target_arch = "x86_64")]
+                Kernels::Avx2(avx2) => avx2.sum_squares(block),
+            };
+            out.push(f64::from_bits(total as u64));
+        }
+        let full_scale = i16::MAX as f64 * i16::MAX as f64;
+        let (per_hop, per_frame) = (hop_len / grain, frame_len / grain);
+        let prefix = |out: &[f64], i: usize| out[i].to_bits() as i64;
+        for f in 0..frames {
+            let sum_sq = prefix(out, f * per_hop + per_frame) - prefix(out, f * per_hop);
+            out[f] = (sum_sq as f64 / (full_scale * frame_len as f64)).sqrt();
+        }
+        out.truncate(frames);
+        out
     }
 
     /// The windowed power spectrum of one frame: bins `0..frame_len / 2`,
@@ -500,17 +613,31 @@ impl MfccExtractor {
     /// Panics if `frame` is shorter than `frame_len`.
     pub fn power_spectrum(&self, frame: &[i16]) -> Vec<f32> {
         let mut plan = FeaturePlan::new();
-        self.fft
-            .power_into(frame, &mut plan.fft_re, &mut plan.fft_im, &mut plan.power);
+        self.power_into(frame, &mut plan);
         plan.power
+    }
+
+    /// The power spectrum of `frame` into `plan.power`.
+    fn power_into(&self, frame: &[i16], plan: &mut FeaturePlan) {
+        let (re, im, power) = (&mut plan.fft_re, &mut plan.fft_im, &mut plan.power);
+        match &self.kernels {
+            Kernels::Portable => self.fft.power_into(frame, re, im, power),
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2(avx2) => avx2.power_into(&self.fft, frame, re, im, power),
+        }
     }
 
     /// Adds the log mel energies of `frame` into `plan.log_mel`.
     fn accumulate_log_mel(&self, frame: &[i16], plan: &mut FeaturePlan) {
-        self.fft
-            .power_into(frame, &mut plan.fft_re, &mut plan.fft_im, &mut plan.power);
-        for (acc, filter) in plan.log_mel.iter_mut().zip(&self.filterbank) {
-            *acc += (filter.energy(&plan.power) + 1e-10).ln();
+        self.power_into(frame, plan);
+        match &self.kernels {
+            Kernels::Portable => {
+                for (acc, filter) in plan.log_mel.iter_mut().zip(&self.filterbank) {
+                    *acc += log_energy(filter.energy(&plan.power));
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2(avx2) => avx2.accumulate_log_mel(&plan.power, &mut plan.log_mel),
         }
     }
 
@@ -593,6 +720,464 @@ impl MfccExtractor {
         let mut plan = FeaturePlan::new();
         self.mean_cepstrum_into(samples, 0..self.frame_count(samples.len()), &mut plan);
         plan.cepstra
+    }
+}
+
+/// The AVX2 forms of the front-end kernels, runtime-dispatched through
+/// [`Kernels`]: every `unsafe` of the module is here.
+///
+/// Each lane performs the same IEEE single-precision `mul`, `add` and
+/// `sub` operations, in the same order, as the scalar code it replaces —
+/// no FMA, no reassociation — so every power bin, log-mel value and
+/// cepstrum is **bit-identical** to the portable path, and the frame
+/// energies are exact integer sums in either form. The `ln` stays scalar.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    use super::{log_energy, split_bin, FftPlan, MelFilter, RealFft};
+
+    /// The AVX2 kernels of one extractor. Only [`Avx2Kernels::detect`]
+    /// builds one, after checking that the host supports AVX2, so
+    /// holding one is the proof every `unsafe` block below relies on.
+    #[derive(Debug, Clone)]
+    pub(super) struct Avx2Kernels {
+        mel: MelLanes,
+    }
+
+    /// The mel filterbank transposed for 8 lanes: filters `8 g..8 g + 8`
+    /// form group `g`, and tap row `t` of a group holds each filter's
+    /// `t`-th bin index and weight. Groups are zero-padded to their
+    /// widest filter; padding reads bin 0 with weight 0.
+    #[derive(Debug, Clone)]
+    struct MelLanes {
+        n_mels: usize,
+        /// One past the highest bin any tap reads.
+        bins: usize,
+        /// Tap rows per group.
+        widths: Vec<usize>,
+        /// Bin index per tap row and lane, row after row.
+        index: Vec<i32>,
+        /// Weight per tap row and lane, laid out like `index`.
+        weight: Vec<f32>,
+    }
+
+    impl MelLanes {
+        fn new(filterbank: &[MelFilter]) -> Self {
+            let mut lanes = MelLanes {
+                n_mels: filterbank.len(),
+                bins: 0,
+                widths: Vec::new(),
+                index: Vec::new(),
+                weight: Vec::new(),
+            };
+            for group in filterbank.chunks(8) {
+                let width = group.iter().map(|f| f.weights.len()).max().unwrap_or(0);
+                for t in 0..width {
+                    for lane in 0..8 {
+                        let tap = group
+                            .get(lane)
+                            .and_then(|f| f.weights.get(t).map(|&w| (f.start + t, w)));
+                        let (bin, w) = tap.unwrap_or((0, 0.0));
+                        lanes.bins = lanes.bins.max(bin + 1);
+                        lanes.index.push(bin as i32);
+                        lanes.weight.push(w);
+                    }
+                }
+                lanes.widths.push(width);
+            }
+            lanes
+        }
+    }
+
+    impl Avx2Kernels {
+        /// The AVX2 kernels for `filterbank`, or `None` if the host lacks
+        /// AVX2. Runs the feature check once per extractor.
+        pub(super) fn detect(filterbank: &[MelFilter]) -> Option<Self> {
+            std::arch::is_x86_feature_detected!("avx2").then(|| Avx2Kernels {
+                mel: MelLanes::new(filterbank),
+            })
+        }
+
+        /// AVX2 [`RealFft::power_into`].
+        pub(super) fn power_into(
+            &self,
+            fft: &RealFft,
+            frame: &[i16],
+            re: &mut Vec<f32>,
+            im: &mut Vec<f32>,
+            power: &mut Vec<f32>,
+        ) {
+            let m = fft.source.len();
+            let frame = &frame[..2 * m];
+            for buf in [&mut *re, &mut *im, &mut *power] {
+                if buf.len() != m {
+                    buf.clear();
+                    buf.resize(m, 0.0);
+                }
+            }
+            // SAFETY: `self` exists only if AVX2 was detected. `frame`
+            // holds `2 m` samples, so the 32-bit gather of the pair at
+            // any `source` index (at most `2 m - 2`) stays inside it, and
+            // `re`, `im` and `power` hold `m` values each: the lengths
+            // `power_avx2` requires. `RealFft::new` builds every table of
+            // `fft` `m` long and its butterfly plan for `m` points.
+            unsafe { power_avx2(fft, frame, re, im, power) }
+        }
+
+        /// AVX2 mel filterbank and log: adds `ln(energy + 1e-10)` of
+        /// every filter over `power` into `log_mel`.
+        pub(super) fn accumulate_log_mel(&self, power: &[f32], log_mel: &mut [f32]) {
+            assert_eq!(
+                log_mel.len(),
+                self.mel.n_mels,
+                "one log-mel slot per filter"
+            );
+            assert!(
+                self.mel.bins <= power.len(),
+                "filter taps beyond the power bins"
+            );
+            let mut sums = [0.0f32; 8];
+            let mut row = 0usize;
+            for (group, &width) in self.mel.widths.iter().enumerate() {
+                // SAFETY: `self` exists only if AVX2 was detected; every
+                // tap index is below `power.len()` (asserted above), and
+                // rows `row..row + width` lie within `index`/`weight`,
+                // which hold 8 entries for each of the groups' rows.
+                unsafe { mel_group_avx2(&self.mel, row, width, power, &mut sums) };
+                row += width;
+                for (acc, &energy) in log_mel[8 * group..].iter_mut().zip(&sums) {
+                    *acc += log_energy(energy);
+                }
+            }
+        }
+
+        /// AVX2 [`super::sum_squares`].
+        pub(super) fn sum_squares(&self, block: &[i16]) -> i64 {
+            // SAFETY: `self` exists only if AVX2 was detected;
+            // `sum_squares_avx2` reads only within `block`.
+            unsafe { sum_squares_avx2(block) }
+        }
+    }
+
+    /// Pack, butterflies and split pass of [`RealFft::power_into`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; `frame.len() == 2 m` and `re`, `im`,
+    /// `power` hold `m` values, for `m = fft.source.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn power_avx2(
+        fft: &RealFft,
+        frame: &[i16],
+        re: &mut [f32],
+        im: &mut [f32],
+        power: &mut [f32],
+    ) {
+        let m = fft.source.len();
+        // Pack: one 32-bit gather fetches the (even, odd) sample pair at
+        // `source[i]`; the two i16 halves convert exactly to f32.
+        let base = frame.as_ptr().cast::<i32>();
+        let mut i = 0usize;
+        while i + 8 <= m {
+            let source = _mm256_loadu_si256(fft.source.as_ptr().add(i).cast());
+            let pair = _mm256_i32gather_epi32::<2>(base, source);
+            let even = _mm256_cvtepi32_ps(_mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(pair)));
+            let odd = _mm256_cvtepi32_ps(_mm256_srai_epi32::<16>(pair));
+            let w_even = _mm256_loadu_ps(fft.window_even.as_ptr().add(i));
+            let w_odd = _mm256_loadu_ps(fft.window_odd.as_ptr().add(i));
+            _mm256_storeu_ps(re.as_mut_ptr().add(i), _mm256_mul_ps(even, w_even));
+            _mm256_storeu_ps(im.as_mut_ptr().add(i), _mm256_mul_ps(odd, w_odd));
+            i += 8;
+        }
+        for i in i..m {
+            let s = fft.source[i] as usize;
+            re[i] = f32::from(frame[s]) * fft.window_even[i];
+            im[i] = f32::from(frame[s + 1]) * fft.window_odd[i];
+        }
+        butterflies_avx2(&fft.half, re, im);
+        // Split pass; `Y[k..k + 8]` is `Z[m - k - 7..m - k + 1]` reversed.
+        power[0] = (re[0] + im[0]) * (re[0] + im[0]);
+        let reverse = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+        let half = _mm256_set1_ps(0.5);
+        let mut k = 1usize;
+        while k + 8 <= m {
+            let zr = _mm256_loadu_ps(re.as_ptr().add(k));
+            let zi = _mm256_loadu_ps(im.as_ptr().add(k));
+            let yr = _mm256_permutevar8x32_ps(_mm256_loadu_ps(re.as_ptr().add(m - k - 7)), reverse);
+            let yi = _mm256_permutevar8x32_ps(_mm256_loadu_ps(im.as_ptr().add(m - k - 7)), reverse);
+            let c = _mm256_loadu_ps(fft.post_re.as_ptr().add(k));
+            let s = _mm256_loadu_ps(fft.post_im.as_ptr().add(k));
+            let even_re = _mm256_mul_ps(half, _mm256_add_ps(zr, yr));
+            let even_im = _mm256_mul_ps(half, _mm256_sub_ps(zi, yi));
+            let odd_re = _mm256_mul_ps(half, _mm256_add_ps(zi, yi));
+            let odd_im = _mm256_mul_ps(half, _mm256_sub_ps(yr, zr));
+            let x_re = _mm256_sub_ps(
+                _mm256_add_ps(even_re, _mm256_mul_ps(c, odd_re)),
+                _mm256_mul_ps(s, odd_im),
+            );
+            let x_im = _mm256_add_ps(
+                _mm256_add_ps(even_im, _mm256_mul_ps(c, odd_im)),
+                _mm256_mul_ps(s, odd_re),
+            );
+            let p = _mm256_add_ps(_mm256_mul_ps(x_re, x_re), _mm256_mul_ps(x_im, x_im));
+            _mm256_storeu_ps(power.as_mut_ptr().add(k), p);
+            k += 8;
+        }
+        for k in k..m {
+            power[k] = split_bin(
+                re[k],
+                im[k],
+                re[m - k],
+                im[m - k],
+                fft.post_re[k],
+                fft.post_im[k],
+            );
+        }
+    }
+
+    /// AVX2 [`FftPlan::butterflies`]: the fused length-2/4 stages on
+    /// shuffles, then the tabulated stages 8 lanes wide (4 where a stage
+    /// has only 4 twiddles).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and `re.len() == im.len() == plan.n`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn butterflies_avx2(plan: &FftPlan, re: &mut [f32], im: &mut [f32]) {
+        let n = plan.n;
+        if n < 8 {
+            plan.butterflies(re, im);
+            return;
+        }
+        // Stages of length 2 and 4, two 4-value groups per vector (one
+        // per 128-bit half, which is what `shuffle_ps` permutes within).
+        for g in (0..n).step_by(8) {
+            let (rp, ip) = (re.as_mut_ptr().add(g), im.as_mut_ptr().add(g));
+            let (r, i) = (_mm256_loadu_ps(rp), _mm256_loadu_ps(ip));
+            // (x0, x1, x2, x3) -> (x0 + x1, x0 - x1, x2 + x3, x2 - x3).
+            let (r_lo, r_hi) = (
+                _mm256_shuffle_ps::<0xA0>(r, r),
+                _mm256_shuffle_ps::<0xF5>(r, r),
+            );
+            let (i_lo, i_hi) = (
+                _mm256_shuffle_ps::<0xA0>(i, i),
+                _mm256_shuffle_ps::<0xF5>(i, i),
+            );
+            let r = _mm256_blend_ps::<0xAA>(_mm256_add_ps(r_lo, r_hi), _mm256_sub_ps(r_lo, r_hi));
+            let i = _mm256_blend_ps::<0xAA>(_mm256_add_ps(i_lo, i_hi), _mm256_sub_ps(i_lo, i_hi));
+            // r' = (r0 + r2, r1 + i3, r0 - r2, r1 - i3),
+            // i' = (i0 + i2, i1 - r3, i0 - i2, i1 + r3).
+            let (r01, i01) = (
+                _mm256_shuffle_ps::<0x44>(r, r),
+                _mm256_shuffle_ps::<0x44>(i, i),
+            );
+            let (r23, i23) = (
+                _mm256_shuffle_ps::<0xEE>(r, r),
+                _mm256_shuffle_ps::<0xEE>(i, i),
+            );
+            let r_other = _mm256_blend_ps::<0xAA>(r23, i23);
+            let i_other = _mm256_blend_ps::<0xAA>(i23, r23);
+            let r =
+                _mm256_blend_ps::<0xCC>(_mm256_add_ps(r01, r_other), _mm256_sub_ps(r01, r_other));
+            let i =
+                _mm256_blend_ps::<0x66>(_mm256_add_ps(i01, i_other), _mm256_sub_ps(i01, i_other));
+            _mm256_storeu_ps(rp, r);
+            _mm256_storeu_ps(ip, i);
+        }
+        let (mut len, mut offset) = (8usize, 0usize);
+        while 2 * len <= n {
+            let half = len / 2;
+            let w1 = (
+                &plan.twiddle_re[offset..offset + half],
+                &plan.twiddle_im[offset..offset + half],
+            );
+            let w2 = (
+                &plan.twiddle_re[offset + half..offset + half + len],
+                &plan.twiddle_im[offset + half..offset + half + len],
+            );
+            if half >= 8 {
+                stage_pair_x8(re, im, len, w1, w2);
+            } else {
+                stage_pair_x4(re, im, len, w1, w2);
+            }
+            offset += half + len;
+            len <<= 2;
+        }
+        if len <= n {
+            let half = len / 2;
+            let w = (
+                &plan.twiddle_re[offset..offset + half],
+                &plan.twiddle_im[offset..offset + half],
+            );
+            if half >= 8 {
+                last_stage_x8(re, im, w);
+            } else {
+                last_stage_x4(re, im, w);
+            }
+        }
+    }
+
+    /// One width of the tabulated butterfly stages: the loop bodies of
+    /// [`FftPlan::butterflies`], lane by lane, over `$v` vectors of
+    /// `$lanes` bins.
+    macro_rules! tabulated_stages {
+        ($pair:ident, $last:ident, $lanes:literal, $v:ty,
+         $load:ident, $store:ident, $add:ident, $sub:ident, $mul:ident) => {
+            /// Stages `len` and `2 len` fused, as in
+            /// [`FftPlan::butterflies`].
+            ///
+            /// # Safety
+            ///
+            /// AVX2 must be available; `re.len() == im.len()` is a
+            /// multiple of `2 len`, `len / 2` a multiple of the lane
+            /// count, `w1` holds `len / 2` and `w2` holds `len` twiddles.
+            #[target_feature(enable = "avx2")]
+            unsafe fn $pair(
+                re: &mut [f32],
+                im: &mut [f32],
+                len: usize,
+                (w1_re, w1_im): (&[f32], &[f32]),
+                (w2_re, w2_im): (&[f32], &[f32]),
+            ) {
+                let half = len / 2;
+                let (rp, ip) = (re.as_mut_ptr(), im.as_mut_ptr());
+                for group in (0..re.len()).step_by(2 * len) {
+                    for k in (0..half).step_by($lanes) {
+                        let (a, b) = (group + k, group + half + k);
+                        let (c, d) = (group + len + k, group + len + half + k);
+                        let (c1, s1) = ($load(w1_re.as_ptr().add(k)), $load(w1_im.as_ptr().add(k)));
+                        let (c2, s2) = ($load(w2_re.as_ptr().add(k)), $load(w2_im.as_ptr().add(k)));
+                        let (c3, s3) = (
+                            $load(w2_re.as_ptr().add(k + half)),
+                            $load(w2_im.as_ptr().add(k + half)),
+                        );
+                        let (ra, ia): ($v, $v) = ($load(rp.add(a)), $load(ip.add(a)));
+                        let (rb, ib) = ($load(rp.add(b)), $load(ip.add(b)));
+                        let (rc, ic) = ($load(rp.add(c)), $load(ip.add(c)));
+                        let (rd, id) = ($load(rp.add(d)), $load(ip.add(d)));
+                        let tb_re = $sub($mul(rb, c1), $mul(ib, s1));
+                        let tb_im = $add($mul(rb, s1), $mul(ib, c1));
+                        let td_re = $sub($mul(rd, c1), $mul(id, s1));
+                        let td_im = $add($mul(rd, s1), $mul(id, c1));
+                        let (a_re, a_im) = ($add(ra, tb_re), $add(ia, tb_im));
+                        let (b_re, b_im) = ($sub(ra, tb_re), $sub(ia, tb_im));
+                        let (c_re, c_im) = ($add(rc, td_re), $add(ic, td_im));
+                        let (d_re, d_im) = ($sub(rc, td_re), $sub(ic, td_im));
+                        let tc_re = $sub($mul(c_re, c2), $mul(c_im, s2));
+                        let tc_im = $add($mul(c_re, s2), $mul(c_im, c2));
+                        let te_re = $sub($mul(d_re, c3), $mul(d_im, s3));
+                        let te_im = $add($mul(d_re, s3), $mul(d_im, c3));
+                        $store(rp.add(a), $add(a_re, tc_re));
+                        $store(ip.add(a), $add(a_im, tc_im));
+                        $store(rp.add(c), $sub(a_re, tc_re));
+                        $store(ip.add(c), $sub(a_im, tc_im));
+                        $store(rp.add(b), $add(b_re, te_re));
+                        $store(ip.add(b), $add(b_im, te_im));
+                        $store(rp.add(d), $sub(b_re, te_re));
+                        $store(ip.add(d), $sub(b_im, te_im));
+                    }
+                }
+            }
+
+            /// The single last stage over the whole buffer, as in
+            /// [`FftPlan::butterflies`].
+            ///
+            /// # Safety
+            ///
+            /// AVX2 must be available; `re.len() == im.len()` is twice
+            /// the twiddle count, which is a multiple of the lane count.
+            #[target_feature(enable = "avx2")]
+            unsafe fn $last(re: &mut [f32], im: &mut [f32], (w_re, w_im): (&[f32], &[f32])) {
+                let half = w_re.len();
+                let (rp, ip) = (re.as_mut_ptr(), im.as_mut_ptr());
+                for k in (0..half).step_by($lanes) {
+                    let (c, s) = ($load(w_re.as_ptr().add(k)), $load(w_im.as_ptr().add(k)));
+                    let (lr, li): ($v, $v) = ($load(rp.add(k)), $load(ip.add(k)));
+                    let (hr, hi) = ($load(rp.add(half + k)), $load(ip.add(half + k)));
+                    let odd_re = $sub($mul(hr, c), $mul(hi, s));
+                    let odd_im = $add($mul(hr, s), $mul(hi, c));
+                    $store(rp.add(half + k), $sub(lr, odd_re));
+                    $store(ip.add(half + k), $sub(li, odd_im));
+                    $store(rp.add(k), $add(lr, odd_re));
+                    $store(ip.add(k), $add(li, odd_im));
+                }
+            }
+        };
+    }
+
+    tabulated_stages!(
+        stage_pair_x8,
+        last_stage_x8,
+        8,
+        __m256,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_add_ps,
+        _mm256_sub_ps,
+        _mm256_mul_ps
+    );
+    tabulated_stages!(
+        stage_pair_x4,
+        last_stage_x4,
+        4,
+        __m128,
+        _mm_loadu_ps,
+        _mm_storeu_ps,
+        _mm_add_ps,
+        _mm_sub_ps,
+        _mm_mul_ps
+    );
+
+    /// The energies of the 8 filters of one [`MelLanes`] group, taps
+    /// `row..row + width`, into `sums` — each lane the scalar
+    /// [`MelFilter::energy`] sum, tap after tap (a padded tap adds
+    /// `p * 0 = +0`, which leaves the non-negative sums unchanged).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, every index of the group's taps must be
+    /// below `power.len()`, and rows `row..row + width` must exist.
+    #[target_feature(enable = "avx2")]
+    unsafe fn mel_group_avx2(
+        mel: &MelLanes,
+        row: usize,
+        width: usize,
+        power: &[f32],
+        sums: &mut [f32; 8],
+    ) {
+        let mut acc = _mm256_setzero_ps();
+        for t in row..row + width {
+            let index = _mm256_loadu_si256(mel.index.as_ptr().add(8 * t).cast());
+            let p = _mm256_i32gather_ps::<4>(power.as_ptr(), index);
+            let w = _mm256_loadu_ps(mel.weight.as_ptr().add(8 * t));
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(p, w));
+        }
+        _mm256_storeu_ps(sums.as_mut_ptr(), acc);
+    }
+
+    /// The exact sum of squared samples: `vpmaddwd` squares 16 samples
+    /// into 8 pair sums, each at most 2^31 and so exact as a u32, which
+    /// widen to u64 lanes before accumulating.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    unsafe fn sum_squares_avx2(block: &[i16]) -> i64 {
+        let low = _mm256_set1_epi64x(0xFFFF_FFFF);
+        let mut acc = _mm256_setzero_si256();
+        let mut chunks = block.chunks_exact(16);
+        for chunk in &mut chunks {
+            let v = _mm256_loadu_si256(chunk.as_ptr().cast());
+            let pairs = _mm256_madd_epi16(v, v);
+            acc = _mm256_add_epi64(acc, _mm256_and_si256(pairs, low));
+            acc = _mm256_add_epi64(acc, _mm256_srli_epi64::<32>(pairs));
+        }
+        let mut lanes = [0i64; 4];
+        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
+        lanes.iter().sum::<i64>() + super::sum_squares(chunks.remainder())
     }
 }
 
@@ -740,8 +1325,7 @@ mod tests {
             let reference = ex.extract(&samples);
             assert_eq!(frames, reference.rows());
             assert_eq!(plan.mfcc, reference.data());
-            let mut energies = Vec::new();
-            ex.frame_energies_into(&samples, &mut energies);
+            let energies = ex.frame_energies_into(&samples, &mut plan).to_vec();
             assert_eq!(energies, ex.frame_energies(&samples));
         }
     }
@@ -787,6 +1371,192 @@ mod tests {
         assert!(e_loud > e_soft);
         assert!(e_soft > e_quiet);
         assert!(e_quiet < 1e-9);
+    }
+
+    impl MfccExtractor {
+        /// This extractor on the portable kernels.
+        fn portable(&self) -> Self {
+            MfccExtractor {
+                kernels: Kernels::Portable,
+                ..self.clone()
+            }
+        }
+    }
+
+    /// The extractor for `config` on the host's widest kernels, and the
+    /// same extractor on the portable ones. On a host without AVX2 both
+    /// are portable and the bit-identity tests below compare the
+    /// portable path with itself.
+    fn both_forms(config: MfccConfig) -> (MfccExtractor, MfccExtractor) {
+        let wide = MfccExtractor::new(config);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            matches!(wide.kernels, Kernels::Avx2(_)),
+            std::arch::is_x86_feature_detected!("avx2"),
+            "an AVX2 host must get the AVX2 kernels"
+        );
+        let portable = wide.portable();
+        (wide, portable)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-frame sum of squares, frame by frame: the oracle of the
+    /// prefix-sum frame energies.
+    fn frame_energies_oracle(ex: &MfccExtractor, samples: &[i16]) -> Vec<f64> {
+        let full_scale = i16::MAX as f64 * i16::MAX as f64;
+        (0..ex.frame_count(samples.len()))
+            .map(|f| {
+                let frame = ex.frame(samples, f);
+                (sum_squares(frame) as f64 / (full_scale * frame.len() as f64)).sqrt()
+            })
+            .collect()
+    }
+
+    /// Every kernel output of both forms on `samples`, bit for bit:
+    /// each frame's power spectrum and log-mel sum, `extract`, the
+    /// segment cepstrum over every frame and over the odd frames, and the
+    /// frame energies (also against the per-frame oracle).
+    fn assert_forms_agree(config: MfccConfig, samples: &[i16]) {
+        let (wide, portable) = both_forms(config);
+        let mut plans = (FeaturePlan::new(), FeaturePlan::new());
+        for f in 0..wide.frame_count(samples.len()) {
+            let frame = wide.frame(samples, f);
+            assert_eq!(
+                bits(&wide.power_spectrum(frame)),
+                bits(&portable.power_spectrum(frame)),
+                "power spectrum of frame {f}"
+            );
+            for (ex, plan) in [(&wide, &mut plans.0), (&portable, &mut plans.1)] {
+                plan.log_mel.clear();
+                plan.log_mel.resize(config.n_mels, 0.0);
+                ex.accumulate_log_mel(frame, plan);
+            }
+            assert_eq!(
+                bits(&plans.0.log_mel),
+                bits(&plans.1.log_mel),
+                "log mel of frame {f}"
+            );
+        }
+        assert_eq!(
+            bits(wide.extract(samples).data()),
+            bits(portable.extract(samples).data())
+        );
+        assert_eq!(
+            bits(&wide.mean_vector(samples)),
+            bits(&portable.mean_vector(samples))
+        );
+        let odd = |ex: &MfccExtractor| {
+            let mut plan = FeaturePlan::new();
+            let frames = ex.frame_count(samples.len());
+            ex.mean_cepstrum_into(samples, (1..frames).step_by(2), &mut plan);
+            plan.cepstra
+        };
+        assert_eq!(bits(&odd(&wide)), bits(&odd(&portable)));
+        let oracle: Vec<u64> = frame_energies_oracle(&wide, samples)
+            .iter()
+            .map(|e| e.to_bits())
+            .collect();
+        for ex in [&wide, &portable] {
+            let energies: Vec<u64> = ex
+                .frame_energies(samples)
+                .iter()
+                .map(|e| e.to_bits())
+                .collect();
+            assert_eq!(energies, oracle, "frame energies");
+        }
+    }
+
+    #[test]
+    fn forms_agree_on_tones_at_every_mel_centre() {
+        let config = MfccConfig::speech_16khz();
+        let ex = MfccExtractor::new(config);
+        let bin_hz = config.sample_rate_hz as f64 / config.frame_len as f64;
+        for filter in &ex.filterbank {
+            let peak = filter
+                .weights
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map_or(filter.start, |(t, _)| filter.start + t);
+            for amplitude in [0.9, 0.01] {
+                let samples = tone(peak as f64 * bin_hz, 2_048, 16_000.0, amplitude);
+                assert_forms_agree(config, &samples);
+            }
+        }
+    }
+
+    #[test]
+    fn forms_agree_on_silence_and_full_scale() {
+        let config = MfccConfig::speech_16khz();
+        assert_forms_agree(config, &[0i16; 1_536]);
+        assert_forms_agree(config, &[i16::MIN; 1_536]);
+        assert_forms_agree(config, &[i16::MAX; 1_536]);
+        let alternating: Vec<i16> = (0..1_536)
+            .map(|i| if i % 2 == 0 { i16::MIN } else { i16::MAX })
+            .collect();
+        assert_forms_agree(config, &alternating);
+    }
+
+    #[test]
+    fn forms_agree_at_every_fft_size() {
+        // Sizes 4..4096 cover the portable fallback below 8 points, the
+        // 4-lane stage pair, an odd stage left single, and longer runs.
+        for log2 in 2..=12 {
+            let frame_len = 1usize << log2;
+            let config = MfccConfig {
+                frame_len,
+                hop_len: frame_len / 2,
+                ..MfccConfig::speech_16khz()
+            };
+            let (wide, portable) = both_forms(config);
+            let samples: Vec<i16> = (0..frame_len)
+                .map(|i| ((i * 7919 + 13) % 65_536) as u16 as i16)
+                .collect();
+            assert_eq!(
+                bits(&wide.power_spectrum(&samples)),
+                bits(&portable.power_spectrum(&samples)),
+                "frame_len {frame_len}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Random i16 audio: the two forms agree on every kernel output,
+        /// bit for bit.
+        #[test]
+        fn forms_agree_on_random_frames(
+            samples in proptest::collection::vec(proptest::prelude::any::<i16>(), 512..1_400),
+        ) {
+            assert_forms_agree(MfccConfig::speech_16khz(), &samples);
+        }
+
+        /// Frame energies at any hop (grain 1 up to the frame length, and
+        /// hops past it) and any length: both forms equal the per-frame
+        /// oracle, bit for bit.
+        #[test]
+        fn frame_energies_match_the_per_frame_oracle(
+            samples in proptest::collection::vec(proptest::prelude::any::<i16>(), 0..700),
+            frame_bits in 2usize..8,
+            hop_len in 1usize..300,
+        ) {
+            let config = MfccConfig {
+                frame_len: 1 << frame_bits,
+                hop_len,
+                ..MfccConfig::speech_16khz()
+            };
+            let (wide, portable) = both_forms(config);
+            let oracle: Vec<u64> = frame_energies_oracle(&wide, &samples)
+                .iter()
+                .map(|e| e.to_bits())
+                .collect();
+            for ex in [&wide, &portable] {
+                let got: Vec<u64> = ex.frame_energies(&samples).iter().map(|e| e.to_bits()).collect();
+                proptest::prop_assert_eq!(&got, &oracle);
+            }
+        }
     }
 
     #[test]

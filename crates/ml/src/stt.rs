@@ -260,8 +260,7 @@ impl KeywordStt {
     /// frame's log-mel spectrum is computed once, straight from the
     /// window, and the DCT runs once per segment on the mean log-mel.
     pub fn segment_features_with(&self, samples: &[i16], plan: &mut FeaturePlan) -> usize {
-        self.extractor
-            .frame_energies_into(samples, &mut plan.energies);
+        self.extractor.frame_energies_into(samples, plan);
         self.vad_into(&plan.energies, &mut plan.bounds);
         plan.cepstra.clear();
         for segment in 0..plan.bounds.len() {

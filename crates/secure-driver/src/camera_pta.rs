@@ -177,6 +177,15 @@ impl CameraPta {
     }
 }
 
+/// One frame axis as the u16 of a frame-batch reply header.
+/// `CameraSensor::new` bounds both axes by `u16::MAX`, so this fails only
+/// if that bound is ever dropped — never by silently truncating.
+fn header_axis(pixels: u32) -> TeeResult<u16> {
+    u16::try_from(pixels).map_err(|_| TeeError::BadParameters {
+        reason: format!("frame axis of {pixels} px does not fit a u16 reply header"),
+    })
+}
+
 impl PseudoTa for CameraPta {
     fn descriptor(&self) -> TaDescriptor {
         TaDescriptor::new(CAMERA_PTA_NAME, 16, 96)
@@ -192,14 +201,14 @@ impl PseudoTa for CameraPta {
                         reason: "capture-frame-batch expects a memref parameter".to_owned(),
                     },
                 )?)?;
+                let (width, height) = (
+                    header_axis(self.driver.width())?,
+                    header_axis(self.driver.height())?,
+                );
                 let (captures, total) = self.driver.capture_windows(&windows)?;
                 params.set(
                     1,
-                    TeeParam::MemRefOutput(encode_frame_windows_reply(
-                        &captures,
-                        self.driver.width() as u16,
-                        self.driver.height() as u16,
-                    )),
+                    TeeParam::MemRefOutput(encode_frame_windows_reply(&captures, width, height)),
                 );
                 params.set(
                     2,
@@ -252,9 +261,12 @@ mod tests {
     use std::sync::Arc;
 
     fn registered_pta() -> (Arc<TeeCore>, TaUuid) {
+        registered_pta_with(CameraSensor::smart_home("cam", 9).unwrap())
+    }
+
+    fn registered_pta_with(sensor: CameraSensor) -> (Arc<TeeCore>, TaUuid) {
         let platform = Platform::jetson_agx_xavier();
         let core = TeeCore::boot(platform.clone(), Arc::new(Supplicant::new()));
-        let sensor = CameraSensor::smart_home("cam", 9).unwrap();
         let pta = CameraPta::new(SecureCameraDriver::new(
             platform,
             sensor,
@@ -297,6 +309,31 @@ mod tests {
             .unwrap();
         core.invoke_pta(uuid, cmd::SHUTDOWN, &mut TeeParams::new())
             .unwrap();
+    }
+
+    #[test]
+    fn header_axes_are_checked_not_truncated() {
+        assert_eq!(header_axis(u32::from(u16::MAX)), Ok(u16::MAX));
+        assert!(matches!(
+            header_axis(u32::from(u16::MAX) + 1),
+            Err(TeeError::BadParameters { .. })
+        ));
+    }
+
+    #[test]
+    fn widest_camera_geometry_survives_the_reply_header() {
+        let sensor = CameraSensor::new("wide", u32::from(u16::MAX), 2, 15, 9).unwrap();
+        let (core, uuid) = registered_pta_with(sensor);
+        core.invoke_pta(uuid, cmd::CONFIGURE, &mut TeeParams::new())
+            .unwrap();
+        core.invoke_pta(uuid, cmd::START, &mut TeeParams::new())
+            .unwrap();
+        let mut p = TeeParams::new().with(0, TeeParam::MemRefInput(encode_frames_request(&[1])));
+        core.invoke_pta(uuid, cmd::CAPTURE_FRAME_BATCH, &mut p)
+            .unwrap();
+        let replies = decode_frame_windows_reply(p.get(1).as_memref().unwrap()).unwrap();
+        assert_eq!((replies[0].width, replies[0].height), (u16::MAX, 2));
+        assert_eq!(replies[0].pixels.len(), usize::from(u16::MAX) * 2);
     }
 
     #[test]

@@ -17,9 +17,15 @@ use perisec::ml::vision::{FrameCnn, VisionConfig};
 use perisec::ml::SensitiveClassifier;
 use perisec::optee::crypto::{aead_open, aead_seal, nonce_from_sequence};
 use perisec::optee::TeeError;
+use perisec::relay::attest::{
+    decode_attest_request, decode_ingest_record, encode_attest_request, encode_ingest_record,
+};
 use perisec::relay::avs::AvsEvent;
 use perisec::relay::netsim::NetworkService;
-use perisec::relay::{MockCloudService, SecureChannelClient, PSK_LEN};
+use perisec::relay::{
+    AvsDirective, IngestReply, MockCloudService, RelayError, SecureChannelClient,
+    SecureChannelServer, MEASUREMENT_LEN, PSK_LEN,
+};
 use perisec::sched::scheduler::SessionScheduler;
 use perisec::sched::stage::merge_verdicts;
 use perisec::secure_driver::camera::FrameWindowCapture;
@@ -765,6 +771,240 @@ proptest! {
             }
             if let Err(err) = decode_frame_windows_reply(data) {
                 prop_assert!(matches!(err, TeeError::Communication { .. }), "{err:?}");
+            }
+        }
+    }
+}
+
+/// Builds one AVS event from a drawn seed and payload bytes; batches
+/// nest up to `depth` more levels.
+fn avs_event_from_seed(seed: u64, payload: &[u8], depth: usize) -> AvsEvent {
+    let dialog_id = seed >> 8;
+    let kind = if depth == 0 { seed % 4 } else { seed % 5 };
+    match kind {
+        0 => AvsEvent::Recognize {
+            dialog_id,
+            audio: payload.to_vec(),
+        },
+        1 => AvsEvent::TextMessage {
+            dialog_id,
+            text: payload.iter().map(|&b| char::from(b'a' + b % 26)).collect(),
+        },
+        2 => AvsEvent::Ping,
+        3 => AvsEvent::FrameVerdict {
+            dialog_id,
+            frames: (seed >> 16) as u32,
+            probability_milli: (seed % 1001) as u16,
+        },
+        _ => AvsEvent::Batch(
+            (0..(seed >> 4) % 4)
+                .map(|i| {
+                    let child = seed.rotate_left(13 * i as u32 + 7) ^ i;
+                    avs_event_from_seed(child, &payload[..payload.len() / 2], depth - 1)
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// Builds one AVS directive from a drawn seed and payload bytes.
+fn avs_directive_from_seed(seed: u64, payload: &[u8]) -> AvsDirective {
+    match seed % 3 {
+        0 => AvsDirective::Ack { dialog_id: seed },
+        1 => AvsDirective::Speak {
+            dialog_id: seed >> 2,
+            text: String::from_utf8_lossy(payload).into_owned(),
+        },
+        _ => AvsDirective::BatchAck {
+            dialog_ids: payload.iter().map(|&b| seed ^ u64::from(b)).collect(),
+        },
+    }
+}
+
+/// Builds one ingest-plane reply from a drawn seed and payload bytes.
+fn ingest_reply_from_seed(seed: u64, payload: &[u8]) -> IngestReply {
+    match seed % 6 {
+        0 => IngestReply::Ack(payload.to_vec()),
+        1 => IngestReply::AttestGrant { epoch: seed >> 3 },
+        2 => IngestReply::AttestReject,
+        3 => IngestReply::NeedAttest,
+        4 => IngestReply::StaleEpoch { granted: seed >> 3 },
+        _ => IngestReply::Backpressure { depth: seed >> 3 },
+    }
+}
+
+/// A client and server with an established secure channel.
+fn channel_pair(psk_byte: u8, nonce: u64) -> (SecureChannelClient, SecureChannelServer) {
+    let psk = [psk_byte; PSK_LEN];
+    let mut client = SecureChannelClient::new(psk, nonce);
+    let mut server = SecureChannelServer::new(psk, nonce ^ 0x5A5A);
+    let hello = server.process_client_hello(&client.client_hello()).unwrap();
+    client.process_server_hello(&hello).unwrap();
+    (client, server)
+}
+
+/// `data` behind a 4-byte big-endian length header, the record framing
+/// the channel unframes first, so arbitrary payloads get past it.
+fn framed(data: &[u8]) -> Vec<u8> {
+    let mut out = (data.len() as u32).to_be_bytes().to_vec();
+    out.extend_from_slice(data);
+    out
+}
+
+proptest! {
+    /// Every AVS event and directive survives encode -> decode.
+    #[test]
+    fn avs_messages_round_trip(
+        seed in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let event = avs_event_from_seed(seed, &payload, 2);
+        prop_assert_eq!(AvsEvent::decode(&event.encode()).unwrap(), event);
+        let directive = avs_directive_from_seed(seed, &payload);
+        prop_assert_eq!(AvsDirective::decode(&directive.encode()).unwrap(), directive);
+    }
+
+    /// Arbitrary bytes never panic the AVS decoders: each returns a
+    /// codec error, or a message that re-encodes to bytes decoding to
+    /// itself. Valid messages with one byte flipped, or cut short, reach
+    /// the accepting and nested paths as well as the rejecting ones.
+    #[test]
+    fn avs_decoders_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        seed in any::<u64>(),
+        flip in any::<u64>(),
+    ) {
+        let mut inputs = vec![bytes.clone()];
+        for valid in [
+            avs_event_from_seed(seed, &bytes, 2).encode(),
+            avs_directive_from_seed(seed, &bytes).encode(),
+        ] {
+            let mut flipped = valid.clone();
+            let at = (flip as usize) % flipped.len();
+            flipped[at] ^= (flip >> 32) as u8 | 1;
+            inputs.push(flipped);
+            inputs.push(valid[..(flip >> 8) as usize % valid.len()].to_vec());
+        }
+        for data in &inputs {
+            match AvsEvent::decode(data) {
+                Ok(event) => prop_assert_eq!(AvsEvent::decode(&event.encode()).unwrap(), event),
+                Err(err) => prop_assert!(matches!(err, RelayError::Codec { .. }), "{err:?}"),
+            }
+            match AvsDirective::decode(data) {
+                Ok(directive) => {
+                    prop_assert_eq!(AvsDirective::decode(&directive.encode()).unwrap(), directive)
+                }
+                Err(err) => prop_assert!(matches!(err, RelayError::Codec { .. }), "{err:?}"),
+            }
+        }
+    }
+
+    /// Attestation requests and ingest records round-trip, and the
+    /// ingest-record decoder is total: it splits any input of 8 bytes or
+    /// more, and only that.
+    #[test]
+    fn attest_and_ingest_records_round_trip(
+        measurement in proptest::collection::vec(any::<u8>(), MEASUREMENT_LEN..MEASUREMENT_LEN + 1),
+        counter in any::<u64>(),
+        epoch in any::<u64>(),
+        event in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let measurement: [u8; MEASUREMENT_LEN] = measurement.try_into().unwrap();
+        let request = encode_attest_request(&measurement, counter);
+        prop_assert_eq!(decode_attest_request(&request), Some((measurement, counter)));
+        for cut in 0..request.len() {
+            prop_assert!(decode_attest_request(&request[..cut]).is_none());
+        }
+        let record = encode_ingest_record(epoch, &event);
+        prop_assert_eq!(decode_ingest_record(&record), Some((epoch, event.as_slice())));
+    }
+
+    /// Arbitrary bytes never panic the attestation, ingest-record and
+    /// ingest-reply decoders; whatever they accept re-encodes to the
+    /// same message.
+    #[test]
+    fn ingest_wire_decoders_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        tag in any::<u8>(),
+    ) {
+        let mut tagged = bytes.clone();
+        tagged.insert(0, tag);
+        for data in [&bytes, &tagged] {
+            if let Some((measurement, counter)) = decode_attest_request(data) {
+                prop_assert_eq!(&encode_attest_request(&measurement, counter), data);
+            }
+            match decode_ingest_record(data) {
+                Some((epoch, event)) => prop_assert_eq!(&encode_ingest_record(epoch, event), data),
+                None => prop_assert!(data.len() < 8),
+            }
+            if let Some(reply) = IngestReply::decode(data) {
+                prop_assert_eq!(IngestReply::decode(&reply.encode()), Some(reply));
+            }
+        }
+    }
+
+    /// Every ingest reply survives encode -> decode, and no strict prefix
+    /// of a reply with a payload word decodes.
+    #[test]
+    fn ingest_replies_round_trip(
+        seed in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let reply = ingest_reply_from_seed(seed, &payload);
+        let wire = reply.encode();
+        prop_assert_eq!(IngestReply::decode(&wire), Some(reply.clone()));
+        prop_assert!(IngestReply::decode(&[]).is_none());
+        if matches!(
+            reply,
+            IngestReply::AttestGrant { .. } | IngestReply::StaleEpoch { .. } | IngestReply::Backpressure { .. }
+        ) {
+            for cut in 1..wire.len() {
+                prop_assert!(IngestReply::decode(&wire[..cut]).is_none());
+            }
+        }
+    }
+
+    /// Sealed records round-trip in both directions, on the implicit and
+    /// the explicit sequence.
+    #[test]
+    fn sealed_records_round_trip(
+        plaintext in proptest::collection::vec(any::<u8>(), 0..96),
+        seq in any::<u64>(),
+        nonce in any::<u64>(),
+    ) {
+        let (mut client, mut server) = channel_pair(0x42, nonce);
+        let record = client.seal(&plaintext).unwrap();
+        prop_assert_eq!(server.open(&record).unwrap(), plaintext.clone());
+        let record = server.seal(&plaintext).unwrap();
+        prop_assert_eq!(client.open(&record).unwrap(), plaintext.clone());
+        let record = client.seal_at(seq, &plaintext).unwrap();
+        prop_assert_eq!(server.open_explicit(&record).unwrap(), (seq, plaintext.clone()));
+        let record = server.seal_at(seq, &plaintext).unwrap();
+        prop_assert_eq!(client.open_explicit(&record).unwrap(), (seq, plaintext));
+    }
+
+    /// Arbitrary records, raw or behind a well-formed length header (and,
+    /// for the explicit opener, the explicit-record type byte), never
+    /// panic `open` / `open_explicit` on either side: each returns a
+    /// channel error, since no forged record authenticates.
+    #[test]
+    fn sealed_record_openers_reject_arbitrary_records(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        nonce in any::<u64>(),
+    ) {
+        let (mut client, mut server) = channel_pair(0x17, nonce);
+        let explicit = client.seal_at(0, b"probe").unwrap();
+        let mut typed = explicit[4..5].to_vec();
+        typed.extend_from_slice(&bytes);
+        for record in [bytes.clone(), framed(&bytes), framed(&typed)] {
+            for result in [
+                client.open(&record),
+                server.open(&record),
+                client.open_explicit(&record).map(|(_, plain)| plain),
+                server.open_explicit(&record).map(|(_, plain)| plain),
+            ] {
+                let err = result.expect_err("a forged record authenticated");
+                prop_assert!(matches!(err, RelayError::ChannelError { .. }), "{err:?}");
             }
         }
     }
